@@ -12,6 +12,19 @@ Kernel storage is Kh x Kw x A x B. A forward convolution reads A as its
 input channels and B as its output channels; a transposed convolution
 sharing the same array maps B channels back to A, which is exactly what
 makes <conv(x), y> == <x, tconv(y)> hold.
+
+One im2col + GEMM engine serves every direction. The im2col view is
+ordered N, H', W', Kh, Kw, C (channels innermost), so a kernel reshapes to
+its (Kh*Kw*A) x B GEMM operand without a copy: the forward is cols @ K and
+the kernel gradient cols.T @ g. The adjoint (the transposed-conv forward
+and the conv input gradient) is a gather, not a scatter: output row
+r = s*R + e meets only kernel rows u = a (mod s), with (c, a) =
+divmod(e + pad_top, s), reading g rows R + c - (u - a)/s. Each of the s*s
+output phases is therefore a stride-1 correlation of the zero-padded g
+with the flipped, channel-swapped sub-kernel kernel[a::s, b::s], and the
+phases are interleaved once; no zero-stuffed input is built. im2col is
+materialised in batch chunks of at most _WORKSPACE_BYTES, so peak memory
+no longer grows with batch x Kh*Kw*C for a single GEMM.
 """
 
 from __future__ import annotations
@@ -36,6 +49,10 @@ __all__ = [
     "TransposedResidualUnit",
 ]
 
+# im2col bytes materialised per GEMM: memory stays flat in the batch size, and
+# the full-width train step times the same with any budget from 8 MB up
+_WORKSPACE_BYTES = 16 << 20
+
 
 def conv_out_size(in_size: int, stride: int) -> int:
     return -(-in_size // stride)  # ceil division
@@ -55,42 +72,54 @@ def _pad_nhwc(x: np.ndarray, ph: tuple[int, int], pw: tuple[int, int]) -> np.nda
     return np.pad(x, ((0, 0), ph, pw, (0, 0)))
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int) -> np.ndarray:
-    # [N, H', W', C, Kh, Kw] view over the padded input, subsampled by stride
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return win[:, ::stride, ::stride][:, :hout, :wout]
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int):
+    """Yield (batch slice, im2col rows) in chunks that fit the workspace budget."""
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = win[:, :hout, :wout].transpose(0, 1, 2, 4, 5, 3)  # [N, H', W', Kh, Kw, C] view
+    step = max(1, _WORKSPACE_BYTES // max(cols[:1].nbytes, 1))
+    for lo in range(0, len(xp), step):
+        yield slice(lo, lo + step), cols[lo : lo + step].reshape(-1, kh * kw * xp.shape[3])
 
 
-def _conv2d_raw(x: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
-    n, h, w, cin = x.shape
-    kh, kw = kernel.shape[:2]
-    hout, wout = conv_out_size(h, stride), conv_out_size(w, stride)
+def _correlate(xp: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride: int, out: np.ndarray) -> None:
+    """out[n, i, j] = xp[n, i*s : i*s+kh, j*s : j*s+kw].ravel() @ kmat; out is C-contiguous."""
+    for part, cols in _im2col(xp, kh, kw, stride, out.shape[1], out.shape[2]):
+        np.matmul(cols, kmat, out=out[part].reshape(-1, out.shape[3]))
+
+
+def _conv_forward(x: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
+    n, h, w, _ = x.shape
+    kh, kw, _, cout = kernel.shape
     xp = _pad_nhwc(x, half_padding(h, kh, stride), half_padding(w, kw, stride))
-    win = _windows(xp, kh, kw, stride, hout, wout)
-    # contract over (C, Kh, Kw) against kernel axes (2, 0, 1)
-    return np.tensordot(win, kernel, axes=([3, 4, 5], [2, 0, 1]))
+    out = np.empty((n, conv_out_size(h, stride), conv_out_size(w, stride), cout), np.result_type(x, kernel))
+    _correlate(xp, kernel.reshape(-1, cout), kh, kw, stride, out)
+    return out
 
 
-def _conv2d_kernel_grad(x: np.ndarray, g: np.ndarray, stride: int, kh: int, kw: int) -> np.ndarray:
-    n, h, w, cin = x.shape
-    hout, wout = g.shape[1], g.shape[2]
+def _conv_kernel_grad(x: np.ndarray, g: np.ndarray, stride: int, kh: int, kw: int) -> np.ndarray:
+    h, w, cin = x.shape[1:]
     xp = _pad_nhwc(x, half_padding(h, kh, stride), half_padding(w, kw, stride))
-    win = _windows(xp, kh, kw, stride, hout, wout)
-    kg = np.tensordot(win, g, axes=([0, 1, 2], [0, 1, 2]))  # [C, Kh, Kw, Cout]
-    return kg.transpose(1, 2, 0, 3)
+    gk = np.zeros((kh * kw * cin, g.shape[3]), np.result_type(x, g))
+    for part, cols in _im2col(xp, kh, kw, stride, g.shape[1], g.shape[2]):  # fixed summation order
+        gk += cols.T @ g[part].reshape(-1, g.shape[3])
+    return gk.reshape(kh, kw, cin, g.shape[3])
 
 
-def _conv2d_scatter(g: np.ndarray, kernel: np.ndarray, stride: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of _conv2d_raw: scatter g back onto an H x W input plane."""
-    n, hout, wout, cout = g.shape
-    kh, kw = kernel.shape[:2]
-    (pht, phb), (pwl, pwr) = half_padding(h, kh, stride), half_padding(w, kw, stride)
-    out = np.zeros((n, h + pht + phb, w + pwl + pwr, kernel.shape[2]), dtype=g.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            patch = g @ kernel[u, v].T  # [N, H', W', Cin]
-            out[:, u : u + hout * stride : stride, v : v + wout * stride : stride] += patch
-    return out[:, pht : pht + h, pwl : pwl + w]
+def _conv_adjoint(g: np.ndarray, kernel: np.ndarray, s: int, h: int, w: int) -> np.ndarray:
+    """Adjoint of _conv_forward onto an H x W plane, gathered phase by phase."""
+    n, ho, wo, _ = g.shape
+    kh, kw, cin, _ = kernel.shape
+    pt, pl = half_padding(h, kh, s)[0], half_padding(w, kw, s)[0]
+    th, tw = conv_out_size(kh, s), conv_out_size(kw, s)  # taps of the largest phase
+    gp = _pad_nhwc(g, (th - 1, (s - 1 + pt) // s), (tw - 1, (s - 1 + pl) // s))
+    out = np.zeros((s, s, n, ho, wo, cin), np.result_type(g, kernel))
+    for e, f in np.ndindex(s, s):
+        (c, a), (d, b) = divmod(e + pt, s), divmod(f + pl, s)
+        sub = kernel[a::s, b::s][::-1, ::-1].transpose(0, 1, 3, 2)  # flipped, channel-swapped
+        ta, tb = sub.shape[:2]
+        if ta and tb:  # a phase without taps (k < s) stays zero
+            _correlate(gp[:, c + th - ta :, d + tw - tb :], sub.reshape(-1, cin), ta, tb, 1, out[e, f])
+    return out.transpose(2, 3, 0, 4, 1, 5).reshape(n, ho * s, wo * s, cin)[:, :h, :w]
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1) -> Tensor:
@@ -106,7 +135,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1) -> T
     if bias is not None and bias.shape != (kernel.shape[3],):
         raise DimensionError(f"conv2d: bias shape {bias.shape} != ({kernel.shape[3]},)")
 
-    y = _conv2d_raw(x.data, kernel.data, stride)
+    y = _conv_forward(x.data, kernel.data, stride)
     if bias is not None:
         y = y + bias.data
     out = Tensor(y)
@@ -114,8 +143,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1) -> T
     h, w = x.shape[1], x.shape[2]
 
     def backward_fn(g):
-        gx = _conv2d_scatter(g, kernel.data, stride, h, w) if x.requires_grad else None
-        gk = _conv2d_kernel_grad(x.data, g, stride, kh, kw) if kernel.requires_grad else None
+        gx = _conv_adjoint(g, kernel.data, stride, h, w) if x.requires_grad else None
+        gk = _conv_kernel_grad(x.data, g, stride, kh, kw) if kernel.requires_grad else None
         gb = g.sum(axis=(0, 1, 2)) if bias is not None and bias.requires_grad else None
         return (gx, gk, gb) if bias is not None else (gx, gk)
 
@@ -141,14 +170,14 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: in
 
     n, h, w, _ = x.shape
     hf, wf = h * stride, w * stride  # fine-side output dims
-    y = _conv2d_scatter(x.data, kernel.data, stride, hf, wf)
+    y = _conv_adjoint(x.data, kernel.data, stride, hf, wf)
     if bias is not None:
         y = y + bias.data
     out = Tensor(y)
 
     def backward_fn(g):
-        gx = _conv2d_raw(g, kernel.data, stride) if x.requires_grad else None
-        gk = _conv2d_kernel_grad(g, x.data, stride, kernel.shape[0], kernel.shape[1]) if kernel.requires_grad else None
+        gx = _conv_forward(g, kernel.data, stride) if x.requires_grad else None
+        gk = _conv_kernel_grad(g, x.data, stride, kernel.shape[0], kernel.shape[1]) if kernel.requires_grad else None
         gb = g.sum(axis=(0, 1, 2)) if bias is not None and bias.requires_grad else None
         return (gx, gk, gb) if bias is not None else (gx, gk)
 
@@ -292,6 +321,8 @@ class BatchNorm2D:
 class Conv2D:
     """Convolution parameters; kernel Kh x Kw x Cin x Cout, bias Cout."""
 
+    transposed = False
+
     def __init__(self, kernel: Tensor, bias: Tensor, stride: int = 1):
         if stride < 1:
             raise ContractError("stride must be >= 1")
@@ -301,57 +332,24 @@ class Conv2D:
 
     @property
     def in_channels(self) -> int:
-        return self.kernel.shape[2]
+        return self.kernel.shape[3 if self.transposed else 2]
 
     @property
     def out_channels(self) -> int:
-        return self.kernel.shape[3]
+        return self.kernel.shape[2 if self.transposed else 3]
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.kernel, self.bias, self.stride)
+        op = conv2d_transposed if self.transposed else conv2d
+        return op(x, self.kernel, self.bias, self.stride)
 
     def parameters(self):
         return [("kernel", self.kernel, True), ("bias", self.bias, False)]
 
 
-class TransposedConv2D:
+class TransposedConv2D(Conv2D):
     """Transposed convolution; kernel Kh x Kw x Cout x Cin, bias Cout."""
 
-    def __init__(self, kernel: Tensor, bias: Tensor, stride: int = 1):
-        if stride < 1:
-            raise ContractError("stride must be >= 1")
-        self.kernel = kernel
-        self.bias = bias
-        self.stride = stride
-
-    @property
-    def in_channels(self) -> int:
-        return self.kernel.shape[3]
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernel.shape[2]
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv2d_transposed(x, self.kernel, self.bias, self.stride)
-
-    def parameters(self):
-        return [("kernel", self.kernel, True), ("bias", self.bias, False)]
-
-
-def _unit_shapes(transposed: bool, in_ch: int, out_ch: int, k: int) -> dict[str, tuple[int, ...]]:
-    """Kernel shapes for a residual/transposed-residual unit's three convs."""
-    if transposed:
-        return {
-            "conv1": (k, k, out_ch, in_ch),
-            "conv2": (k, k, out_ch, out_ch),
-            "shortcut": (1, 1, out_ch, in_ch),
-        }
-    return {
-        "conv1": (k, k, in_ch, out_ch),
-        "conv2": (k, k, out_ch, out_ch),
-        "shortcut": (1, 1, in_ch, out_ch),
-    }
+    transposed = True
 
 
 class _ResidualBase:

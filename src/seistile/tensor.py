@@ -11,6 +11,8 @@ There is no broadcasting beyond tensor-vs-scalar.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import ContractError, DimensionError
@@ -112,18 +114,27 @@ class Tape:
         self.records.append(_Record(out, inputs, backward_fn))
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _OPEN_TAPES.stack.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _TAPE_STACK.pop()
+        _OPEN_TAPES.stack.pop()
 
 
-_TAPE_STACK: list[Tape] = []
+class _OpenTapes(threading.local):
+    """Tapes opened on the current thread: a forward pass on a worker thread
+    never records onto (and keeps alive activations for) the caller's tape."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
+
+
+_OPEN_TAPES = _OpenTapes()
 
 
 def active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    stack = _OPEN_TAPES.stack
+    return stack[-1] if stack else None
 
 
 def recording() -> Tape:

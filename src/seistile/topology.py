@@ -28,7 +28,6 @@ __all__ = [
     "count_parameters",
     "count_running_stats",
     "count_operations",
-    "PRESETS",
     "preset",
     "preset_names",
     "scale_widths",
@@ -188,7 +187,12 @@ def count_running_stats(spec: TopologySpec) -> int:
     return sum(running for _, _, running in _layer_param_counts(spec))
 
 
-def count_operations(spec: TopologySpec, input_h: int, input_w: int, ops_per_mac: int = 2) -> int:
+# The published budgets count one op per multiply-accumulate.
+TABLE_OPS_PER_MAC = 1
+
+
+def count_operations(spec: TopologySpec, input_h: int, input_w: int,
+                     ops_per_mac: int = TABLE_OPS_PER_MAC) -> int:
     """Analytic forward op count on an input_h x input_w single-channel image.
 
     A convolution contributes ops_per_mac * Kh*Kw*Cin*Cout multiply-accumulates
@@ -254,8 +258,6 @@ def scale_widths(spec: TopologySpec, factor: float, name: str | None = None, min
 # pin those budgets, so edit with care. Total stride is 8 in every preset:
 # deeper stacks could not restore a 120-wide input exactly.
 
-TABLE_OPS_PER_MAC = 1
-
 PRESET_TEXTS: dict[str, str] = {
     # plain strided conv encoder mirrored by a transposed conv decoder
     "danet-fcn": """
@@ -311,6 +313,3 @@ def preset(name: str) -> TopologySpec:
     except KeyError:
         raise TopologyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}") from None
     return parse_topology(text, name=name)
-
-
-PRESETS = PRESET_TEXTS  # legacy alias

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seistile import layers
 from seistile.errors import DimensionError
 from seistile.layers import conv2d, conv2d_transposed, half_padding
 from seistile.tensor import Tensor, backward, grad_check, recording, tensor_sum
@@ -164,3 +165,68 @@ def test_conv_backward_populates_all_leaves():
     assert x.grad is not None and x.grad.shape == x.shape
     assert kern.grad is not None and kern.grad.shape == kern.shape
     np.testing.assert_allclose(bias.grad, np.full(2, 4.0))  # 2x2 output positions
+
+
+def basis_input_grad(op, x_shape, g):
+    """<op(e), g> for every one-hot input e: the adjoint of a per-sample linear op."""
+    n, h, w, c = x_shape
+    eye = np.eye(h * w * c).reshape(h * w * c, h, w, c)
+    return np.einsum("kijo,bijo->bk", op(eye), g).reshape(n, h, w, c)
+
+
+def basis_kernel_grad(op, x, kshape, out_axis, g):
+    """<op(x, e), g> for every basis kernel e, all output channels at once."""
+    gk = np.zeros(kshape)
+    inner = [d for i, d in enumerate(kshape) if i != out_axis]
+    for idx in np.ndindex(*inner):
+        sel = list(idx)
+        sel.insert(out_axis, slice(None))
+        e = np.zeros(kshape)
+        e[tuple(sel)] = 1.0
+        gk[tuple(sel)] = (op(x, e) * g).sum(axis=(0, 1, 2))
+    return gk
+
+
+def conv_grads(rng, op, x, kern):
+    xt, kt = Tensor(x, requires_grad=True), Tensor(kern, requires_grad=True)
+    with recording() as tape:
+        y = op(xt, kt, None)
+        g = rand_int_tensor(rng, y.shape)
+        loss = tensor_sum(y * Tensor(g))
+    backward(loss, tape)
+    return y.data, g, xt.grad, kt.grad
+
+
+# One sample per im2col chunk (n = 3), every phase shape of k in {1, 3, 5} at
+# s = 2 (k=1 leaves phases empty, k=5 mixes 3- and 2-tap phases), odd and even H, W.
+@pytest.mark.parametrize("hw", [(5, 6), (6, 4)])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv_chunked_phases_match_naive(monkeypatch, k, s, hw):
+    monkeypatch.setattr(layers, "_WORKSPACE_BYTES", 1)
+    rng = np.random.default_rng(10 * k + s)
+    x = rand_int_tensor(rng, (3, *hw, 2))
+    kern = rand_int_tensor(rng, (k, k, 2, 3))
+    y, g, gx, gk = conv_grads(rng, lambda a, b, c: conv2d(a, b, c, stride=s), x, kern)
+
+    np.testing.assert_array_equal(y, naive_conv2d(x, kern, None, s))
+    np.testing.assert_array_equal(gx, basis_input_grad(lambda e: naive_conv2d(e, kern, None, s), x.shape, g))
+    if hw[0] % s == 0 and hw[1] % s == 0:  # on such a plane it is the transposed conv
+        np.testing.assert_array_equal(gx, naive_conv2d_transposed(g, kern, None, s))
+    np.testing.assert_array_equal(
+        gk, basis_kernel_grad(lambda a, e: naive_conv2d(a, e, None, s), x, kern.shape, 3, g))
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_tconv_chunked_phases_match_naive(monkeypatch, k, s):
+    monkeypatch.setattr(layers, "_WORKSPACE_BYTES", 1)
+    rng = np.random.default_rng(20 * k + s)
+    x = rand_int_tensor(rng, (3, 5, 6, 3))
+    kern = rand_int_tensor(rng, (k, k, 2, 3))  # Kh, Kw, Cout, Cin
+    y, g, gx, gk = conv_grads(rng, lambda a, b, c: conv2d_transposed(a, b, c, stride=s), x, kern)
+
+    np.testing.assert_array_equal(y, naive_conv2d_transposed(x, kern, None, s))
+    np.testing.assert_array_equal(gx, naive_conv2d(g, kern, None, s))
+    np.testing.assert_array_equal(
+        gk, basis_kernel_grad(lambda a, e: naive_conv2d_transposed(a, e, None, s), x, kern.shape, 2, g))

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,12 @@ def test_scale_and_sub_backward():
         loss = tensor_sum(sub(scale(x, 3.0), Tensor([0.5, 0.5])))
     backward(loss, tape)
     np.testing.assert_allclose(x.grad, [3.0, 3.0])
+
+
+def test_worker_thread_forward_does_not_record_on_callers_tape():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with recording() as tape:
+        relu(x)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(lambda: relu(add(x, x))).result(timeout=10)
+        assert len(tape) == 1
