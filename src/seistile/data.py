@@ -179,12 +179,17 @@ def read_pgm(path) -> np.ndarray:
         while pos < len(blob) and blob[pos : pos + 1].isspace():
             pos += 1
         if blob[pos : pos + 1] == b"#":  # comment line
-            pos = blob.index(b"\n", pos) + 1
+            end = blob.find(b"\n", pos)
+            if end < 0:
+                raise FormatError(f"{path}: PGM header ends inside a comment")
+            pos = end + 1
             continue
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
         fields.append(blob[start:pos])
+    if not all(f.isdigit() for f in fields):
+        raise FormatError(f"{path}: malformed PGM header fields {fields!r}")
     w, h, maxval = (int(f) for f in fields)
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")

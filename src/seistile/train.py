@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import TileSet
-from .errors import ConfigError, DivergenceError, FormatError
+from .errors import ConfigError, CorruptionError, DivergenceError, FormatError
 from .layers import softmax_cross_entropy
 from .metrics import iou_per_class, miou_image, mmiou, predict_slice_mask
 from .network import Model, build_model, xavier_init  # noqa: F401  (re-exported)
@@ -94,9 +94,12 @@ class RMSProp:
         self.params = [(name, t, bool(decay)) for name, t, decay in params]
         self.ms = {name: np.zeros_like(t.data) for name, t, _ in self.params}
         self.mom = {name: np.zeros_like(t.data) for name, t, _ in self.params}
+        self._scratch = {name: np.empty_like(t.data) for name, t, _ in self.params}
         self.step_count = 0
 
     def step(self, lr: float) -> None:
+        """One update in place. The operations and their order are those of
+        the class docstring, so results match its direct form bitwise."""
         cfg = self.cfg
         self.step_count += 1
         for name, tensor, decays in self.params:
@@ -105,14 +108,19 @@ class RMSProp:
                 continue
             if not np.isfinite(g).all():
                 raise DivergenceError(f"non-finite gradient in {name} at step {self.step_count}")
+            buf = self._scratch[name]
             if decays and cfg.weight_decay:
-                g = g + cfg.weight_decay * tensor.data
+                g = np.add(g, np.multiply(tensor.data, cfg.weight_decay, out=buf), out=buf)
             ms = self.ms[name]
             ms *= cfg.decay
-            ms += (1.0 - cfg.decay) * g * g
+            tmp = np.multiply(g, 1.0 - cfg.decay)
+            tmp *= g
+            ms += tmp
             mom = self.mom[name]
             mom *= cfg.momentum
-            mom += lr * g / np.sqrt(ms + cfg.epsilon)
+            np.multiply(g, lr, out=tmp)
+            tmp /= np.sqrt(np.add(ms, cfg.epsilon, out=buf), out=buf)  # g is dead: buf is free
+            mom += tmp
             tensor.data -= mom
 
     def state_arrays(self):
@@ -195,30 +203,37 @@ def load_checkpoint(path) -> Checkpoint:
     blob = Path(path).read_bytes()
     if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
-    (header_len,) = struct.unpack_from("<I", blob, len(CKPT_MAGIC))
     start = len(CKPT_MAGIC) + 4
-    header = json.loads(blob[start : start + header_len].decode())
+    if len(blob) < start:
+        raise CorruptionError(f"{path}: file ends before the header length field")
+    (header_len,) = struct.unpack_from("<I", blob, len(CKPT_MAGIC))
+    if len(blob) < start + header_len:
+        raise CorruptionError(f"{path}: header of {header_len} bytes runs past the end of the file")
     payload = blob[start + header_len :]
     sections: dict[str, dict[str, np.ndarray]] = {
         "param": {}, "running": {}, "opt_ms": {}, "opt_mom": {},
     }
-    for entry in header["tensors"]:
-        raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        if len(raw) != entry["nbytes"]:
-            raise FormatError(f"{path}: truncated tensor {entry['name']}")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).copy()
-        sections[entry["kind"]][entry["name"]] = arr
-    val = header["val_miou"]
-    return Checkpoint(
-        topology_text=header["topology"],
-        epoch=header["epoch"],
-        val_miou=float("nan") if val is None else float(val),
-        params=sections["param"],
-        buffers=sections["running"],
-        opt_ms=sections["opt_ms"],
-        opt_mom=sections["opt_mom"],
-        rng_state=header["rng_state"],
-    )
+    try:
+        header = json.loads(blob[start : start + header_len].decode())
+        for entry in header["tensors"]:
+            raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
+            if len(raw) != entry["nbytes"]:
+                raise CorruptionError(f"{path}: truncated tensor {entry['name']}")
+            arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).copy()
+            sections[entry["kind"]][entry["name"]] = arr
+        val = header["val_miou"]
+        return Checkpoint(
+            topology_text=header["topology"],
+            epoch=header["epoch"],
+            val_miou=float("nan") if val is None else float(val),
+            params=sections["param"],
+            buffers=sections["running"],
+            opt_ms=sections["opt_ms"],
+            opt_mom=sections["opt_mom"],
+            rng_state=header["rng_state"],
+        )
+    except (KeyError, TypeError, ValueError) as err:  # ValueError covers JSON and UTF-8 decoding
+        raise FormatError(f"{path}: malformed checkpoint header ({type(err).__name__}: {err})") from None
 
 
 def restore_model(ckpt: Checkpoint, name: str = "restored") -> Model:

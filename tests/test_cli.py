@@ -147,3 +147,14 @@ def test_cli_set_overrides(tmp_path, capsys):
 def test_train_before_prepare_exits_1(tmp_path):
     cfg = desk_config(tmp_path)
     assert main(["train", "--config", str(cfg)]) == 1
+
+
+def test_corrupt_checkpoint_exits_2_for_eval_and_export(tmp_path, capsys):
+    cfg = desk_config(tmp_path, **{"split.test_slices": [9], "split.test_count": None})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"DNCKPT1\n" + (1000).to_bytes(4, "little") + b'{"topology": ')  # header cut short
+    for command in ("eval", "export-masks"):
+        assert main([command, "--config", str(cfg), "--checkpoint", str(bad)]) == 2
+    assert capsys.readouterr().err.count("bad.ckpt") == 2

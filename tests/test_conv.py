@@ -167,6 +167,23 @@ def test_conv_backward_populates_all_leaves():
     np.testing.assert_allclose(bias.grad, np.full(2, 4.0))  # 2x2 output positions
 
 
+# k=1, s=1 needs no padding, so the engine reads the caller's array directly
+@pytest.mark.parametrize("k, s", [(1, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("op", [conv2d, conv2d_transposed])
+def test_conv_bias_epilogue_leaves_operands_unmutated(op, k, s):
+    rng = np.random.default_rng(40 + k + s)
+    x, kern, bias = rng.normal(size=(2, 4, 6, 3)), rng.normal(size=(k, k, 3, 3)), rng.normal(size=3)
+    operands = [Tensor(a.copy(), requires_grad=True) for a in (x, kern, bias)]
+    with recording() as tape:
+        y = op(*operands, stride=s)
+        loss = tensor_sum(y)
+    backward(loss, tape)
+    want = naive_conv2d if op is conv2d else naive_conv2d_transposed
+    np.testing.assert_allclose(y.data, want(x, kern, bias, s), rtol=1e-12, atol=1e-12)
+    for t, a in zip(operands, (x, kern, bias)):
+        np.testing.assert_array_equal(t.data, a)
+
+
 def basis_input_grad(op, x_shape, g):
     """<op(e), g> for every one-hot input e: the adjoint of a per-sample linear op."""
     n, h, w, c = x_shape

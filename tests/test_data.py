@@ -85,6 +85,19 @@ def test_pgm_round_trip(tmp_path):
     np.testing.assert_array_equal(read_pgm(path), img)
 
 
+@pytest.mark.parametrize("blob", [
+    pytest.param(b"P5\n7 x9\n255\n" + bytes(63), id="non-numeric field"),
+    pytest.param(b"P5\n7 9\n", id="ends before maxval"),
+    pytest.param(b"P5\n-7 9\n255\n" + bytes(63), id="negative width"),
+    pytest.param(b"P5\n# comment without an end", id="unterminated comment"),
+])
+def test_pgm_malformed_header_is_format_error(tmp_path, blob):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="PGM"):
+        read_pgm(path)
+
+
 # ------------------------------------------------------------------ rescale
 
 def test_rescale_spans_0_255():

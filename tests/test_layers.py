@@ -9,7 +9,7 @@ from seistile.layers import (
     softmax_cross_entropy,
 )
 from seistile.network import _residual_unit
-from seistile.tensor import Tensor, add, backward, grad_check, recording, relu, tensor_sum
+from seistile.tensor import Tensor, add, backward, grad_check, mul, recording, relu, tensor_sum
 
 
 # ---------------------------------------------------------------- batch norm
@@ -86,6 +86,59 @@ def test_bn_grad_check(train):
     assert grad_check(run_x, Tensor(x)) < 1e-6
     assert grad_check(run_gamma, Tensor(gamma.data)) < 1e-6
     assert grad_check(run_beta, Tensor(beta.data)) < 1e-6
+
+
+def _bn_reference(x, gamma, beta, rm, rv, g, eps, momentum, train):
+    """Batch norm and its gradients in float64, written from the definition."""
+    x, gamma, beta, rm, rv, g = (np.asarray(a, np.float64) for a in (x, gamma, beta, rm, rv, g))
+    if train:
+        mean = x.mean(axis=(0, 1, 2))
+        var = ((x - mean) ** 2).mean(axis=(0, 1, 2))
+        rm, rv = momentum * rm + (1 - momentum) * mean, momentum * rv + (1 - momentum) * var
+    else:
+        mean, var = rm, rv
+    std = np.sqrt(var + eps)
+    xhat = (x - mean) / std
+    if train:  # d/dx through the batch mean and variance
+        gx = gamma / std * (g - g.mean(axis=(0, 1, 2)) - xhat * (g * xhat).mean(axis=(0, 1, 2)))
+    else:
+        gx = g * gamma / std
+    return gamma * xhat + beta, rm, rv, gx, (g * xhat).sum(axis=(0, 1, 2)), g.sum(axis=(0, 1, 2))
+
+
+def _assert_close_f32(got, want):
+    assert got.dtype == np.float32
+    assert np.abs(got - want).max() <= 2e-5 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("c", [1, 6, 96])
+def test_bn_float32_matches_float64_definition(c, train, x_grad):
+    rng = np.random.default_rng(30 + c)
+    f32 = np.float32
+    x = (3.0 + 2.0 * rng.normal(size=(3, 7, 9, c))).astype(f32)
+    gamma = rng.uniform(0.5, 1.5, size=c).astype(f32)
+    beta = rng.normal(size=c).astype(f32)
+    rm = rng.normal(size=c).astype(f32)
+    rv = rng.uniform(0.5, 2.0, size=c).astype(f32)
+    g = rng.normal(size=x.shape).astype(f32)
+    want = _bn_reference(x, gamma, beta, rm, rv, g, 1e-5, 0.9, train)
+
+    xt = Tensor(x.copy(), requires_grad=x_grad)
+    gt, bt = Tensor(gamma.copy(), requires_grad=True), Tensor(beta.copy(), requires_grad=True)
+    with recording() as tape:
+        y = batch_norm(xt, gt, bt, rm, rv, eps=1e-5, momentum=0.9, train=train)
+        loss = tensor_sum(mul(y, Tensor(g)))
+    backward(loss, tape)
+
+    for got, ref in zip((y.data, rm, rv, gt.grad, bt.grad), want[:3] + want[4:]):
+        _assert_close_f32(got, ref)
+    if x_grad:
+        _assert_close_f32(xt.grad, want[3])
+    else:
+        assert xt.grad is None
+    np.testing.assert_array_equal(x, xt.data)  # the input is never normalized in place
 
 
 # ------------------------------------------------------------ residual units

@@ -1,9 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 import seistile.train as train_mod
 from seistile.data import SynthConfig, TileConfig, generate_synthetic_volume, tile_volume
-from seistile.errors import ConfigError, DivergenceError
+from seistile.errors import ConfigError, CorruptionError, DivergenceError, FormatError
 from seistile.network import build_model
 from seistile.tensor import Tensor
 from seistile.topology import count_parameters, parse_topology
@@ -40,6 +43,33 @@ def test_rmsprop_hand_recurrence():
     np.testing.assert_allclose(opt.ms["w"], [0.1])
     np.testing.assert_allclose(opt.mom["w"], [0.01 / np.sqrt(1.1)], rtol=1e-12)
     np.testing.assert_allclose(w.data, [0.5 - 0.01 / np.sqrt(1.1)], rtol=1e-12)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_rmsprop_in_place_step_bitwise_matches_recurrence(weight_decay):
+    rng = np.random.default_rng(5)
+    cfg = OptimizerConfig(weight_decay=weight_decay)
+    shapes = {"k": (3, 3, 4, 5), "b": (5,)}
+    params = {n: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for n, s in shapes.items()}
+    opt = RMSProp([(n, t, n == "k") for n, t in params.items()], cfg)
+    w = {n: t.data.copy() for n, t in params.items()}
+    ms = {n: np.zeros_like(a) for n, a in w.items()}
+    mom = {n: np.zeros_like(a) for n, a in w.items()}
+    for step in range(12):
+        lr = 0.01 if step < 6 else 0.001
+        for n, t in params.items():
+            g = rng.normal(size=t.shape).astype(np.float32)
+            t.grad = g.copy()
+            if n == "k" and weight_decay:
+                g = g + cfg.weight_decay * w[n]
+            ms[n] = cfg.decay * ms[n] + (1.0 - cfg.decay) * g * g
+            mom[n] = cfg.momentum * mom[n] + lr * g / np.sqrt(ms[n] + cfg.epsilon)
+            w[n] = w[n] - mom[n]
+        opt.step(lr)
+    for n, t in params.items():
+        np.testing.assert_array_equal(t.data, w[n])
+        np.testing.assert_array_equal(opt.ms[n], ms[n])
+        np.testing.assert_array_equal(opt.mom[n], mom[n])
 
 
 def test_rmsprop_zero_grad_is_fixed_point():
@@ -197,6 +227,46 @@ def test_checkpoint_preserves_optimizer_and_rng_state(tmp_path):
     resumed = np.random.default_rng(1)
     resumed.bit_generator.state = ckpt.rng_state
     np.testing.assert_array_equal(resumed.normal(size=3), rng.normal(size=3))
+
+
+def _corrupt(case, blob):
+    """A good checkpoint with one part damaged."""
+    hlen = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
+    rest = blob[12 + hlen :]
+    if case == "shorter than magic + length":
+        return blob[:10]
+    if case == "header truncated mid-JSON":
+        return blob[: 12 + hlen // 2]
+    if case == "header length too small":
+        return blob[:8] + struct.pack("<I", hlen // 2) + blob[12:]
+    if case == "header length into the payload":
+        return blob[:8] + struct.pack("<I", hlen + 8) + blob[12:]
+    if case == "non-UTF-8 header":
+        return blob[:12] + b"\xff" * hlen + rest
+    if case == "missing header key":
+        header = json.loads(blob[12 : 12 + hlen])
+        del header["epoch"]
+        text = json.dumps(header).encode()
+        return blob[:8] + struct.pack("<I", len(text)) + text + rest
+    return blob[:-1]  # truncated payload
+
+
+@pytest.mark.parametrize("case, error", [
+    ("shorter than magic + length", CorruptionError),
+    ("header truncated mid-JSON", CorruptionError),
+    ("header length too small", FormatError),
+    ("header length into the payload", FormatError),
+    ("non-UTF-8 header", FormatError),
+    ("missing header key", FormatError),
+    ("truncated payload", CorruptionError),
+])
+def test_corrupt_checkpoint_raises_format_error(tmp_path, case, error):
+    model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=0, dtype=np.float32)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_model(model), path)
+    path.write_bytes(_corrupt(case, path.read_bytes()))
+    with pytest.raises(error):
+        load_checkpoint(path)
 
 
 # ------------------------------------------------------------- training loop
