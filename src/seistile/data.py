@@ -351,12 +351,21 @@ class TileSet:
         stem = str(stem)
         images, _ = load_segv(stem + ".images.segv")
         masks, _ = load_segv(stem + ".masks.segv")
-        header = json.loads(Path(stem + ".json").read_text())
-        prov = np.array(
-            [[t["slice"], t["row"], t["col"]] for t in header["tiles"]], dtype=np.int32
-        ).reshape(-1, 3)
-        return cls(images=images, masks=masks, provenance=prov,
-                   tile_h=header["tile_h"], tile_w=header["tile_w"])
+        sidecar = stem + ".json"
+        try:
+            header = json.loads(Path(sidecar).read_text())
+            prov = np.array(
+                [[t["slice"], t["row"], t["col"]] for t in header["tiles"]], dtype=np.int32
+            ).reshape(-1, 3)
+            tile_h, tile_w = header["tile_h"], header["tile_w"]
+        except (KeyError, TypeError, ValueError) as err:  # ValueError covers JSON and UTF-8 decoding
+            raise FormatError(f"{sidecar}: malformed tile sidecar ({type(err).__name__}: {err})") from None
+        if not images.shape == masks.shape == (len(prov), tile_h, tile_w):
+            raise FormatError(
+                f"{stem}: images {images.shape}, masks {masks.shape} and {len(prov)} provenance "
+                f"rows of {tile_h}x{tile_w} tiles disagree"
+            )
+        return cls(images=images, masks=masks, provenance=prov, tile_h=tile_h, tile_w=tile_w)
 
 
 def tile_origins(h: int, w: int, cfg: TileConfig) -> list[tuple[int, int]]:

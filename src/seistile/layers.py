@@ -53,10 +53,8 @@ __all__ = [
     "batch_norm",
     "softmax_cross_entropy",
     "Conv2D",
-    "TransposedConv2D",
     "BatchNorm2D",
     "ResidualUnit",
-    "TransposedResidualUnit",
 ]
 
 # im2col bytes materialised per GEMM: memory stays flat in the batch size, and
@@ -155,7 +153,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1) -> T
     def backward_fn(g):
         gx = _conv_adjoint(g, kernel.data, stride, h, w) if x.requires_grad else None
         gk = _conv_kernel_grad(x.data, g, stride, kh, kw) if kernel.requires_grad else None
-        gb = g.sum(axis=(0, 1, 2)) if bias is not None and bias.requires_grad else None
+        gb = np.einsum("ijkl->l", g) if bias is not None and bias.requires_grad else None
         return (gx, gk, gb) if bias is not None else (gx, gk)
 
     inputs = (x, kernel, bias) if bias is not None else (x, kernel)
@@ -188,7 +186,7 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: in
     def backward_fn(g):
         gx = _conv_forward(g, kernel.data, stride) if x.requires_grad else None
         gk = _conv_kernel_grad(g, x.data, stride, kernel.shape[0], kernel.shape[1]) if kernel.requires_grad else None
-        gb = g.sum(axis=(0, 1, 2)) if bias is not None and bias.requires_grad else None
+        gb = np.einsum("ijkl->l", g) if bias is not None and bias.requires_grad else None
         return (gx, gk, gb) if bias is not None else (gx, gk)
 
     inputs = (x, kernel, bias) if bias is not None else (x, kernel)
@@ -349,24 +347,18 @@ class BatchNorm2D:
 
 
 class Conv2D:
-    """Convolution parameters; kernel Kh x Kw x Cin x Cout, bias Cout."""
+    """Convolution parameters; kernel Kh x Kw x Cin x Cout, bias Cout.
 
-    transposed = False
+    A transposed convolution stores its kernel as Kh x Kw x Cout x Cin.
+    """
 
-    def __init__(self, kernel: Tensor, bias: Tensor, stride: int = 1):
+    def __init__(self, kernel: Tensor, bias: Tensor, stride: int = 1, transposed: bool = False):
         if stride < 1:
             raise ContractError("stride must be >= 1")
         self.kernel = kernel
         self.bias = bias
         self.stride = stride
-
-    @property
-    def in_channels(self) -> int:
-        return self.kernel.shape[3 if self.transposed else 2]
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernel.shape[2 if self.transposed else 3]
+        self.transposed = transposed
 
     def forward(self, x: Tensor) -> Tensor:
         op = conv2d_transposed if self.transposed else conv2d
@@ -376,20 +368,14 @@ class Conv2D:
         return [("kernel", self.kernel, True), ("bias", self.bias, False)]
 
 
-class TransposedConv2D(Conv2D):
-    """Transposed convolution; kernel Kh x Kw x Cout x Cin, bias Cout."""
-
-    transposed = True
-
-
-class _ResidualBase:
+class ResidualUnit:
     """y = ReLU(h(x) + F(x)) with F = conv(k,s) -> BN -> ReLU -> conv(k,1) -> BN.
 
     h is the identity when the unit changes neither resolution nor channel
-    count, otherwise a 1x1 projection with the unit's stride (no BN).
+    count, otherwise a 1x1 projection with the unit's stride (no BN). With
+    transposed convolutions this is the transposed residual unit, and a
+    stride-s unit upsamples H x W to H*s x W*s.
     """
-
-    transposed = False
 
     def __init__(self, conv1, bn1, conv2, bn2, shortcut, stride: int):
         self.conv1 = conv1
@@ -398,14 +384,6 @@ class _ResidualBase:
         self.bn2 = bn2
         self.shortcut = shortcut  # None means identity
         self.stride = stride
-
-    @property
-    def in_channels(self) -> int:
-        return self.conv1.in_channels
-
-    @property
-    def out_channels(self) -> int:
-        return self.conv2.out_channels
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         f = self.conv1.forward(x)
@@ -434,14 +412,3 @@ class _ResidualBase:
         out = [("bn1." + n, a) for n, a in self.bn1.buffers()]
         out += [("bn2." + n, a) for n, a in self.bn2.buffers()]
         return out
-
-
-class ResidualUnit(_ResidualBase):
-    transposed = False
-
-
-class TransposedResidualUnit(_ResidualBase):
-    """The residual unit with every convolution transposed; a stride-s unit
-    upsamples H x W to H*s x W*s."""
-
-    transposed = True

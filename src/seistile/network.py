@@ -7,7 +7,7 @@ import numpy as np
 from . import layers as L
 from .errors import ContractError
 from .tensor import Tensor, relu
-from .topology import TopologySpec, render_topology
+from .topology import LayerSpec, TopologySpec, layer_convs, render_topology
 
 __all__ = ["xavier_init", "Model", "build_model"]
 
@@ -28,33 +28,33 @@ def xavier_init(shape, seed_or_rng) -> Tensor:
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
-def _conv(rng, k, cin, cout, stride, dtype) -> L.Conv2D:
-    kernel = xavier_init((k, k, cin, cout), rng)
-    kernel.data = kernel.data.astype(dtype)
-    bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
-    return L.Conv2D(kernel, bias, stride)
-
-
-def _tconv(rng, k, cin, cout, stride, dtype) -> L.TransposedConv2D:
+def _conv(rng, k, cin, cout, stride, dtype, transposed=False) -> L.Conv2D:
     # transposed kernels store [Kh, Kw, Cout, Cin]
-    kernel = xavier_init((k, k, cout, cin), rng)
+    kernel = xavier_init((k, k, cout, cin) if transposed else (k, k, cin, cout), rng)
     kernel.data = kernel.data.astype(dtype)
     bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
-    return L.TransposedConv2D(kernel, bias, stride)
+    return L.Conv2D(kernel, bias, stride, transposed)
+
+
+def _block(rng, layer: LayerSpec, cin: int, dtype, bn_eps: float, bn_momentum: float):
+    """The block of one topology layer, its kernels drawn in layer_convs order."""
+    parts = []
+    for k, a, b, s, bn in layer_convs(layer, cin):
+        conv = _conv(rng, k, a, b, s, dtype, layer.transposed)
+        norm = L.BatchNorm2D(b, eps=bn_eps, momentum=bn_momentum, dtype=dtype) if bn else None
+        parts.append((conv, norm))
+    if layer.residual:
+        (conv1, bn1), (conv2, bn2), *projection = parts
+        shortcut = projection[0][0] if projection else None
+        return L.ResidualUnit(conv1, bn1, conv2, bn2, shortcut, layer.stride)
+    conv, norm = parts[0]
+    return _Classifier(conv) if norm is None else _ConvBlock(conv, norm)
 
 
 def _residual_unit(rng, cin, cout, stride, k, dtype, transposed: bool,
                    bn_eps: float = 1e-5, bn_momentum: float = 0.997):
-    make = _tconv if transposed else _conv
-    conv1 = make(rng, k, cin, cout, stride, dtype)
-    conv2 = make(rng, k, cout, cout, 1, dtype)
-    bn1 = L.BatchNorm2D(cout, eps=bn_eps, momentum=bn_momentum, dtype=dtype)
-    bn2 = L.BatchNorm2D(cout, eps=bn_eps, momentum=bn_momentum, dtype=dtype)
-    shortcut = None
-    if stride != 1 or cin != cout:
-        shortcut = make(rng, 1, cin, cout, stride, dtype)
-    cls = L.TransposedResidualUnit if transposed else L.ResidualUnit
-    return cls(conv1, bn1, conv2, bn2, shortcut, stride)
+    layer = LayerSpec("tru" if transposed else "ru", k, stride, cout)
+    return _block(rng, layer, cin, dtype, bn_eps, bn_momentum)
 
 
 class _ConvBlock:
@@ -143,23 +143,9 @@ def build_model(spec: TopologySpec, seed: int, dtype=np.float64,
     """
     rng = np.random.default_rng(seed)
     dtype = np.dtype(dtype)
-
-    def bn(c):
-        return L.BatchNorm2D(c, eps=bn_eps, momentum=bn_momentum, dtype=dtype)
-
     blocks = []
     cin = spec.input_channels
     for layer in spec.layers:
-        n, k, s = layer.channels, layer.kernel, layer.stride
-        if layer.kind == "conv":
-            blocks.append(_ConvBlock(_conv(rng, k, cin, n, s, dtype), bn(n)))
-        elif layer.kind == "tconv":
-            blocks.append(_ConvBlock(_tconv(rng, k, cin, n, s, dtype), bn(n)))
-        elif layer.kind == "ru":
-            blocks.append(_residual_unit(rng, cin, n, s, k, dtype, False, bn_eps, bn_momentum))
-        elif layer.kind == "tru":
-            blocks.append(_residual_unit(rng, cin, n, s, k, dtype, True, bn_eps, bn_momentum))
-        else:
-            blocks.append(_Classifier(_conv(rng, 1, cin, n, 1, dtype)))
-        cin = n
+        blocks.append(_block(rng, layer, cin, dtype, bn_eps, bn_momentum))
+        cin = layer.channels
     return Model(spec, blocks, dtype)

@@ -22,7 +22,6 @@ __all__ = [
     "Tape",
     "recording",
     "active_tape",
-    "elementwise",
     "add",
     "sub",
     "mul",
@@ -208,22 +207,6 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0))
     mask = a.data > 0
     return record_op(out, (a,), lambda g: (g * mask,))
-
-
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "scale": scale, "relu": relu}
-
-
-def elementwise(op: str, a: Tensor, b=None) -> Tensor:
-    """Dispatch by name; ``relu`` is unary, ``scale`` takes a scalar."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ContractError(f"unknown elementwise op {op!r}") from None
-    if op == "relu":
-        if b is not None:
-            raise ContractError("relu takes no second operand")
-        return fn(a)
-    return fn(a, b)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -8,8 +8,15 @@ A topology is a newline-separated list of layer tokens:
     tru   [s<s>] <n>   transposed residual unit
     out   <n>          1x1 classifier convolution producing n logits
 
-``#`` starts a comment. Downsampling strides (c, ru) must cancel against
-upsampling strides (tc, tru) so the network returns to input resolution.
+``#`` starts a comment. Each kind but the classifier is a direction crossed
+with a unit: down (c, ru) or up (tc, tru), plain (c, tc) or residual (ru,
+tru); the transposed residual unit is the residual unit with every
+convolution transposed. Downsampling strides must cancel against upsampling
+strides so the network returns to input resolution.
+
+:func:`layer_convs` is the one description of which convolutions a layer
+holds; the parameter and operation counters and ``network.build_model``
+all walk it.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .errors import ParseError, TopologyError
 __all__ = [
     "LayerSpec",
     "TopologySpec",
+    "layer_convs",
     "parse_topology",
     "render_topology",
     "forward_shape",
@@ -32,10 +40,6 @@ __all__ = [
     "preset_names",
     "scale_widths",
 ]
-
-DOWN_KINDS = ("conv", "ru")
-UP_KINDS = ("tconv", "tru")
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -53,6 +57,14 @@ class LayerSpec:
             raise TopologyError("stride must be 1 or 2")
         if self.channels < 1:
             raise TopologyError("channels must be >= 1")
+
+    @property
+    def transposed(self) -> bool:
+        return self.kind in ("tconv", "tru")
+
+    @property
+    def residual(self) -> bool:
+        return self.kind in ("ru", "tru")
 
 
 @dataclass(frozen=True)
@@ -72,7 +84,9 @@ _LINE_RE = re.compile(
     r"\s+(?P<channels>\d+)$"
 )
 
-_KIND_MAP = {"c": "conv", "tc": "tconv", "ru": "ru", "tru": "tru", "out": "classifier"}
+# the DSL token of each kind; plain convolutions write their kernel size into it
+_TOKENS = {"conv": "c{kernel}", "tconv": "tc{kernel}", "ru": "ru", "tru": "tru", "classifier": "out"}
+_KINDS = {token.replace("{kernel}", ""): kind for kind, token in _TOKENS.items()}
 
 
 def parse_topology(text: str, name: str = "custom", input_channels: int = 1) -> TopologySpec:
@@ -85,16 +99,11 @@ def parse_topology(text: str, name: str = "custom", input_channels: int = 1) -> 
         m = _LINE_RE.match(line)
         if m is None:
             raise ParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
-        kind = _KIND_MAP[m.group("kind") or m.group("unit")]
+        kind = _KINDS[m.group("kind") or m.group("unit")]
         stride = int(m.group("stride") or 1)
-        if kind == "classifier":
-            if m.group("stride") is not None:
-                raise ParseError(f"line {lineno}: 'out' takes no stride")
-            kernel = 1
-        elif kind in ("ru", "tru"):
-            kernel = 3
-        else:
-            kernel = int(m.group("kernel"))
+        if kind == "classifier" and m.group("stride") is not None:
+            raise ParseError(f"line {lineno}: 'out' takes no stride")
+        kernel = int(m.group("kernel") or (1 if kind == "classifier" else 3))
         try:
             layers.append(LayerSpec(kind, kernel, stride, int(m.group("channels"))))
         except TopologyError as e:
@@ -114,10 +123,10 @@ def _validate(spec: TopologySpec) -> None:
         return
     down = up = 1
     for layer in spec.layers:
-        if layer.kind in DOWN_KINDS:
-            down *= layer.stride
-        elif layer.kind in UP_KINDS:
+        if layer.transposed:
             up *= layer.stride
+        else:
+            down *= layer.stride
     if down != up:
         raise TopologyError(
             f"{spec.name}: downsampling x{down} does not cancel upsampling x{up}"
@@ -128,10 +137,7 @@ def render_topology(spec: TopologySpec) -> str:
     """Inverse of parse_topology (up to comments/whitespace)."""
     lines = []
     for layer in spec.layers:
-        if layer.kind == "classifier":
-            lines.append(f"out {layer.channels}")
-            continue
-        head = {"conv": f"c{layer.kernel}", "tconv": f"tc{layer.kernel}", "ru": "ru", "tru": "tru"}[layer.kind]
+        head = _TOKENS[layer.kind].format(kernel=layer.kernel)
         s = f" s{layer.stride}" if layer.stride != 1 else ""
         lines.append(f"{head}{s} {layer.channels}")
     return "\n".join(lines) + "\n"
@@ -141,50 +147,55 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _out_size(layer: LayerSpec, h: int, w: int) -> tuple[int, int]:
+    if layer.transposed:
+        return h * layer.stride, w * layer.stride
+    return _ceil_div(h, layer.stride), _ceil_div(w, layer.stride)
+
+
 def forward_shape(spec: TopologySpec, h: int, w: int) -> tuple[int, int, int]:
     """(H, W, C) produced by running the topology on an H x W input."""
     c = spec.input_channels
     for layer in spec.layers:
-        if layer.kind in DOWN_KINDS or layer.kind == "classifier":
-            h, w = _ceil_div(h, layer.stride), _ceil_div(w, layer.stride)
-        else:
-            h, w = h * layer.stride, w * layer.stride
+        h, w = _out_size(layer, h, w)
         c = layer.channels
     return h, w, c
 
 
-def _conv_params(k: int, cin: int, cout: int) -> int:
-    return k * k * cin * cout + cout
+def layer_convs(layer: LayerSpec, cin: int) -> list[tuple[int, int, int, int, bool]]:
+    """(kernel, cin, cout, stride, batch-normed) of each convolution in a layer.
+
+    The order is construction order: conv1, then for a residual unit conv2
+    and the 1x1 projection shortcut, which a unit that changes neither
+    resolution nor channel count replaces with the identity. The classifier
+    is one bare 1x1 convolution.
+    """
+    n, k, s = layer.channels, layer.kernel, layer.stride
+    if layer.kind == "classifier":
+        return [(1, cin, n, 1, False)]
+    convs = [(k, cin, n, s, True)]
+    if layer.residual:
+        convs.append((k, n, n, 1, True))
+        if s != 1 or cin != n:
+            convs.append((1, cin, n, s, False))
+    return convs
 
 
-def _layer_param_counts(spec: TopologySpec):
-    """Yield (layer, learnable, running) triples walking the channel chain."""
+def _convs(spec: TopologySpec):
     cin = spec.input_channels
     for layer in spec.layers:
-        n = layer.channels
-        if layer.kind in ("conv", "tconv"):
-            learnable = _conv_params(layer.kernel, cin, n) + 2 * n
-            running = 2 * n
-        elif layer.kind in ("ru", "tru"):
-            learnable = _conv_params(layer.kernel, cin, n) + _conv_params(layer.kernel, n, n) + 4 * n
-            running = 4 * n
-            if layer.stride != 1 or cin != n:
-                learnable += _conv_params(1, cin, n)
-        else:  # classifier: bare 1x1 conv
-            learnable = _conv_params(1, cin, n)
-            running = 0
-        yield layer, learnable, running
-        cin = n
+        yield from layer_convs(layer, cin)
+        cin = layer.channels
 
 
 def count_parameters(spec: TopologySpec) -> int:
     """Exact number of learnable parameters (kernels, biases, BN gamma/beta)."""
-    return sum(learnable for _, learnable, _ in _layer_param_counts(spec))
+    return sum(k * k * a * b + b + 2 * b * bn for k, a, b, _, bn in _convs(spec))
 
 
 def count_running_stats(spec: TopologySpec) -> int:
     """Non-learnable batch-norm running mean/var element count."""
-    return sum(running for _, _, running in _layer_param_counts(spec))
+    return sum(2 * b * bn for _, _, b, _, bn in _convs(spec))
 
 
 # The published budgets count one op per multiply-accumulate.
@@ -197,41 +208,20 @@ def count_operations(spec: TopologySpec, input_h: int, input_w: int,
 
     A convolution contributes ops_per_mac * Kh*Kw*Cin*Cout multiply-accumulates
     evaluated on the coarse side of its geometry (output for conv, input for
-    transposed conv); bias adds, batch-norm, ReLU and residual additions count
-    one op per output element.
+    transposed conv). Per output element, a batch-normed convolution adds 3
+    ops (bias, BN, ReLU), a bare one 1 (bias) and a residual unit 2 more
+    (the addition and the final ReLU).
     """
     total = 0
     h, w, cin = input_h, input_w, spec.input_channels
     for layer in spec.layers:
-        n, k, s = layer.channels, layer.kernel, layer.stride
-        if layer.kind == "conv":
-            ho, wo = _ceil_div(h, s), _ceil_div(w, s)
-            total += ops_per_mac * k * k * cin * n * ho * wo  # MACs
-            total += 3 * ho * wo * n  # bias + BN + ReLU
-        elif layer.kind == "tconv":
-            ho, wo = h * s, w * s
-            total += ops_per_mac * k * k * cin * n * h * w
-            total += 3 * ho * wo * n
-        elif layer.kind == "ru":
-            ho, wo = _ceil_div(h, s), _ceil_div(w, s)
-            total += ops_per_mac * k * k * cin * n * ho * wo  # conv1
-            total += ops_per_mac * k * k * n * n * ho * wo  # conv2
-            if s != 1 or cin != n:
-                total += ops_per_mac * cin * n * ho * wo  # 1x1 projection
-                total += ho * wo * n  # projection bias
-            total += 8 * ho * wo * n  # 2 biases, 2 BN, 2 ReLU, add, final ReLU
-        elif layer.kind == "tru":
-            ho, wo = h * s, w * s
-            total += ops_per_mac * k * k * cin * n * h * w  # tconv1 (coarse side)
-            total += ops_per_mac * k * k * n * n * ho * wo  # tconv2, stride 1
-            if s != 1 or cin != n:
-                total += ops_per_mac * cin * n * h * w
-                total += ho * wo * n
-            total += 8 * ho * wo * n
-        else:  # classifier
-            ho, wo = h, w
-            total += ops_per_mac * cin * n * ho * wo + ho * wo * n
-        h, w, cin = ho, wo, n
+        h, w = _out_size(layer, h, w)
+        for k, a, b, s, bn in layer_convs(layer, cin):
+            coarse = h * w // (s * s) if layer.transposed else h * w
+            total += ops_per_mac * k * k * a * b * coarse + (3 if bn else 1) * h * w * b
+        if layer.residual:
+            total += 2 * h * w * layer.channels
+        cin = layer.channels
     return total
 
 

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import TileSet
-from .errors import ConfigError, CorruptionError, DivergenceError, FormatError
+from .errors import ConfigError, CorruptionError, DivergenceError, FormatError, ParseError, TopologyError
 from .layers import softmax_cross_entropy
 from .metrics import iou_per_class, miou_image, mmiou, predict_slice_mask
-from .network import Model, build_model, xavier_init  # noqa: F401  (re-exported)
+from .network import Model, build_model
 from .tensor import Tensor, backward, recording
 from .topology import parse_topology
 
@@ -33,7 +33,6 @@ __all__ = [
     "restore_model",
     "train",
     "write_log_csv",
-    "xavier_init",
 ]
 
 DEFAULT_LR_SCHEDULE = ((0, 0.01), (50, 0.001), (100, 5e-4), (150, 1e-5))
@@ -239,16 +238,22 @@ def load_checkpoint(path) -> Checkpoint:
 def restore_model(ckpt: Checkpoint, name: str = "restored") -> Model:
     """Rebuild the model a checkpoint describes; forward passes reproduce
     the saved model bitwise (checkpoints are f32)."""
-    spec = parse_topology(ckpt.topology_text, name=name)
+    try:
+        spec = parse_topology(ckpt.topology_text, name=name)
+    except (ParseError, TopologyError) as err:  # the text is data read from the file
+        raise FormatError(f"checkpoint stores an invalid topology: {err}") from None
     model = build_model(spec, seed=0, dtype=np.float32)
     expected = {n for n, _, _ in model.parameters()}
     if expected != set(ckpt.params):
         missing = expected ^ set(ckpt.params)
         raise FormatError(f"checkpoint does not match topology; mismatched tensors: {sorted(missing)[:4]}")
-    for pname, t, _ in model.parameters():
-        t.data = ckpt.params[pname].astype(np.float32).reshape(t.data.shape)
-    for bname, arr in model.buffers():
-        arr[...] = ckpt.buffers[bname].reshape(arr.shape)
+    try:
+        for pname, t, _ in model.parameters():
+            t.data = ckpt.params[pname].astype(np.float32).reshape(t.data.shape)
+        for bname, arr in model.buffers():
+            arr[...] = ckpt.buffers[bname].reshape(arr.shape)
+    except (KeyError, ValueError) as err:  # a missing buffer, or a tensor of the wrong size
+        raise FormatError(f"checkpoint does not match topology ({type(err).__name__}: {err})") from None
     return model
 
 

@@ -2,6 +2,7 @@ import json
 
 from seistile.cli import main
 from seistile.data import TileSet, load_masks, load_segv, load_volume
+from seistile.train import Checkpoint, save_checkpoint
 
 
 def desk_config(tmp_path, **tweaks):
@@ -158,3 +159,25 @@ def test_corrupt_checkpoint_exits_2_for_eval_and_export(tmp_path, capsys):
     for command in ("eval", "export-masks"):
         assert main([command, "--config", str(cfg), "--checkpoint", str(bad)]) == 2
     assert capsys.readouterr().err.count("bad.ckpt") == 2
+
+
+def test_checkpoint_with_unparsable_topology_exits_2_for_eval(tmp_path, capsys):
+    cfg = desk_config(tmp_path, **{"split.test_slices": [9], "split.test_count": None})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(Checkpoint("frobnicate 12\n", 0, 0.5, params={}, buffers={}), bad)
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
+    assert "frobnicate" in capsys.readouterr().err
+
+
+def test_train_on_tiles_with_mismatched_sidecar_exits_2(tmp_path, capsys):
+    cfg = desk_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    sidecar = tmp_path / "out" / "tiles_train.json"
+    header = json.loads(sidecar.read_text())
+    header["tiles"].pop()
+    sidecar.write_text(json.dumps(header))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "provenance" in capsys.readouterr().err

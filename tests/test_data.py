@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from seistile.data import (
     preprocess_rescale,
     read_pgm,
     save_masks,
+    save_segv,
     save_volume,
     split_blocks,
     tile_count,
@@ -264,6 +267,37 @@ def test_tile_volume_sorted_by_slice_row_col(tmp_path):
     np.testing.assert_array_equal(back.images, ts.images)
     np.testing.assert_array_equal(back.masks, ts.masks)
     np.testing.assert_array_equal(back.provenance, ts.provenance)
+
+
+def _damage_tile_set(case, stem):
+    sidecar = stem.parent / (stem.name + ".json")
+    header = json.loads(sidecar.read_text())
+    if case == "fewer provenance rows than tiles":
+        header["tiles"].pop()
+    elif case == "missing key":
+        del header["tile_w"]
+    elif case == "non-JSON sidecar":
+        sidecar.write_text("{not json")
+        return
+    else:  # one more mask than images
+        masks, _ = load_segv(f"{stem}.masks.segv")
+        save_segv(f"{stem}.masks.segv", np.concatenate([masks, masks[:1]]))
+        return
+    sidecar.write_text(json.dumps(header))
+
+
+@pytest.mark.parametrize("case", [
+    "fewer provenance rows than tiles", "missing key", "non-JSON sidecar", "image and mask counts differ",
+])
+def test_tile_set_load_rejects_inconsistent_files(tmp_path, case):
+    vol, masks = generate_synthetic_volume(
+        SynthConfig(slices=2, height=40, width=60, num_classes=4, horizon_waviness=2.0)
+    )
+    cfg = TileConfig(tile_h=20, tile_w=20, overlap_fraction=0.5)
+    tile_volume(vol, masks, [0, 1], cfg).save(tmp_path / "tiles")
+    _damage_tile_set(case, tmp_path / "tiles")
+    with pytest.raises(FormatError):
+        TileSet.load(tmp_path / "tiles")
 
 
 def test_non_integer_stride_rejected():

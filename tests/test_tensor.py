@@ -8,7 +8,6 @@ from seistile.tensor import (
     Tensor,
     add,
     backward,
-    elementwise,
     grad_check,
     matmul,
     mul,
@@ -28,14 +27,6 @@ def test_relu_forward():
 def test_add_forward():
     out = add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
     np.testing.assert_array_equal(out.data, [4.0, 6.0])
-
-
-def test_elementwise_dispatch():
-    np.testing.assert_array_equal(elementwise("sub", Tensor([3.0]), Tensor([1.0])).data, [2.0])
-    np.testing.assert_array_equal(elementwise("scale", Tensor([3.0]), 2.0).data, [6.0])
-    np.testing.assert_array_equal(elementwise("relu", Tensor([-2.0])).data, [0.0])
-    with pytest.raises(ContractError):
-        elementwise("pow", Tensor([1.0]), Tensor([1.0]))
 
 
 def test_binary_shape_mismatch_names_both_shapes():

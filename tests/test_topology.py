@@ -116,13 +116,45 @@ def test_count_operations_scales_with_area():
 
 
 def test_parameter_count_equals_model_parameter_sizes():
-    for name in preset_names():
-        spec = scale_widths(preset(name), 0.05)
+    specs = [scale_widths(preset(name), 0.05) for name in preset_names()]
+    specs.append(parse_topology("c1 s2 6\ntru 6\ntc3 s2 4\nout 3"))  # identity-shortcut tru
+    for spec in specs:
         model = build_model(spec, seed=0, dtype=np.float32)
         total = sum(t.size for _, t, _ in model.parameters())
         assert total == count_parameters(spec)
         buffers = sum(a.size for _, a in model.buffers())
         assert buffers == count_running_stats(spec)
+
+
+EXACT = {
+    # (parameters, running stats, ops @80x120, ops @128x128) at one op per MAC
+    "danet-fcn": (4_487_847, 4_768, 3_236_169_600, 5_523_062_784),
+    "danet-fcn2": (6_626_535, 5_248, 1_875_542_400, 3_200_925_696),
+    "danet-fcn3": (39_642_983, 12_672, 10_357_228_800, 17_676_337_152),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT))
+def test_preset_counts_exact(name):
+    spec = preset(name)
+    got = (count_parameters(spec), count_running_stats(spec),
+           count_operations(spec, 80, 120), count_operations(spec, 128, 128))
+    assert got == EXACT[name]
+
+
+def test_count_residual_units_hand_case():
+    spec = parse_topology("ru s2 8\ntru s2 4\nout 3")
+    # ru (1->8, projection): 72+8 + 576+8 + 8+8 + 4*8 BN; tru (8->4, projection):
+    # 288+4 + 144+4 + 32+4 + 4*4 BN; out: 12+3
+    assert count_parameters(spec) == 712 + 492 + 15
+    assert count_running_stats(spec) == 4 * 8 + 4 * 4
+    # 4x6 -> ru -> 2x3 -> tru -> 4x6. MACs: ru (72 + 576 + 8) * 6; tru on the
+    # coarse 2x3 side (288 + 32) * 6 plus 144 * 24; out 12 * 24. Per output
+    # element: 3 + 3 + 1 (projection bias) + 2 (add, ReLU) in each unit, 1 in out.
+    macs = 656 * 6 + 320 * 6 + 144 * 24 + 12 * 24
+    elementwise = 9 * 6 * 8 + 9 * 24 * 4 + 24 * 3
+    assert count_operations(spec, 4, 6) == macs + elementwise == 10_968
+    assert count_operations(spec, 4, 6, ops_per_mac=2) == 2 * macs + elementwise == 20_568
 
 
 @pytest.mark.parametrize("name", list(PUBLISHED))

@@ -269,6 +269,23 @@ def test_corrupt_checkpoint_raises_format_error(tmp_path, case, error):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("case", [
+    "parameter of the wrong size", "buffer of the wrong size", "missing buffer", "unparsable topology",
+])
+def test_checkpoint_that_does_not_fit_its_topology_is_format_error(case):
+    ckpt = checkpoint_from_model(build_model(parse_topology(TINY_DSL, name="tiny"), seed=0, dtype=np.float32))
+    if case == "parameter of the wrong size":
+        ckpt.params["layer0.conv.kernel"] = ckpt.params["layer0.conv.kernel"][:1]
+    elif case == "buffer of the wrong size":
+        ckpt.buffers["layer0.bn.running_mean"] = ckpt.buffers["layer0.bn.running_mean"][:-1]
+    elif case == "missing buffer":
+        del ckpt.buffers["layer0.bn.running_mean"]
+    else:
+        ckpt.topology_text = "c3 s2 6\nfrobnicate 12\n"
+    with pytest.raises(FormatError):
+        restore_model(ckpt)
+
+
 # ------------------------------------------------------------- training loop
 
 def _val_pairs(vol, masks, indices):
