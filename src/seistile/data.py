@@ -124,7 +124,10 @@ def load_segv(path) -> tuple[np.ndarray, dict]:
         )
     data = np.frombuffer(payload, dtype=dtype).reshape(shape)
     sidecar = Path(str(path) + ".json")
-    meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+    try:
+        meta = json.loads(sidecar.read_bytes().decode()) if sidecar.exists() else {}
+    except ValueError as err:  # covers JSON and UTF-8 decoding
+        raise FormatError(f"{sidecar}: malformed metadata sidecar ({err})") from None
     return np.array(data), meta
 
 

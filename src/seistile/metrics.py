@@ -4,15 +4,23 @@ The test protocol per image: break it into non-overlapping tiles, predict
 each tile's mask, unite the predictions, then score the reassembled mask
 against ground truth on the covered region (the residual border that does
 not fit a whole tile is excluded rather than padded).
+
+Slices are predicted on a thread pool. While it runs, the OpenBLAS numpy
+loaded is held at one thread, so each worker's GEMMs stay on its own core
+and one slice's im2col copies, batch norm and ReLU overlap another slice's
+GEMMs instead of competing with BLAS's own threads.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import io
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -39,7 +47,8 @@ __all__ = [
 
 
 def worker_count() -> int:
-    """Worker-thread cap: SEISTILE_THREADS, defaulting to machine parallelism."""
+    """Worker-thread cap: SEISTILE_THREADS, defaulting to the CPUs this
+    process may run on."""
     env = os.environ.get("SEISTILE_THREADS")
     if env:
         try:
@@ -49,7 +58,65 @@ def worker_count() -> int:
         if n < 1:
             raise ConfigError("SEISTILE_THREADS must be >= 1")
         return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or
+    None where there is none to find (MKL, Accelerate, not Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            path = next((line.split()[-1] for line in fh if "openblas" in line.lower()), None)
+        if path is None:
+            return None
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Holds OpenBLAS at one thread while any caller is inside.
+
+    The count is process-wide, so one instance guards it: the first caller
+    in saves it and the last one out restores it, also when the block
+    raises. Without OpenBLAS it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+
+    def __enter__(self):
+        blas = _openblas_threads()
+        if blas is not None:
+            with self._lock:
+                if self._depth == 0:
+                    self._saved = blas[0]()
+                    blas[1](1)
+                self._depth += 1
+
+    def __exit__(self, *exc):
+        blas = _openblas_threads()
+        if blas is not None:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    blas[1](self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def predict_slice_mask(model, image: np.ndarray, tile_h: int, tile_w: int,
@@ -165,7 +232,8 @@ def evaluate_testset(model, volume: Volume, masks: MaskVolume, test_indices,
 
     workers = min(worker_count(), len(test_indices))
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # pool shutdown waits for every worker before the BLAS count returns
+        with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, test_indices))
     else:
         results = [one(i) for i in test_indices]

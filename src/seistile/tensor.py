@@ -205,6 +205,8 @@ def scale(a: Tensor, s: float) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(np.maximum(a.data, 0))
+    if active_tape() is None or not a.requires_grad:
+        return out  # nothing will record the rule, so build no mask
     mask = a.data > 0
     return record_op(out, (a,), lambda g: (g * mask,))
 

@@ -32,7 +32,6 @@ __all__ = [
     "load_checkpoint",
     "restore_model",
     "train",
-    "write_log_csv",
 ]
 
 DEFAULT_LR_SCHEDULE = ((0, 0.01), (50, 0.001), (100, 5e-4), (150, 1e-5))
@@ -235,6 +234,17 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: malformed checkpoint header ({type(err).__name__}: {err})") from None
 
 
+def _stored_tensor(stored: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    """The checkpoint's tensor for one model slot, which must have its shape:
+    a reshape would scramble a tensor of the right size but another shape."""
+    if name not in stored:
+        raise FormatError(f"checkpoint does not match topology; missing tensor {name}")
+    if stored[name].shape != shape:
+        raise FormatError(f"checkpoint tensor {name} has shape {stored[name].shape}, "
+                          f"the topology needs {shape}")
+    return stored[name]
+
+
 def restore_model(ckpt: Checkpoint, name: str = "restored") -> Model:
     """Rebuild the model a checkpoint describes; forward passes reproduce
     the saved model bitwise (checkpoints are f32)."""
@@ -247,13 +257,10 @@ def restore_model(ckpt: Checkpoint, name: str = "restored") -> Model:
     if expected != set(ckpt.params):
         missing = expected ^ set(ckpt.params)
         raise FormatError(f"checkpoint does not match topology; mismatched tensors: {sorted(missing)[:4]}")
-    try:
-        for pname, t, _ in model.parameters():
-            t.data = ckpt.params[pname].astype(np.float32).reshape(t.data.shape)
-        for bname, arr in model.buffers():
-            arr[...] = ckpt.buffers[bname].reshape(arr.shape)
-    except (KeyError, ValueError) as err:  # a missing buffer, or a tensor of the wrong size
-        raise FormatError(f"checkpoint does not match topology ({type(err).__name__}: {err})") from None
+    for pname, t, _ in model.parameters():
+        t.data = _stored_tensor(ckpt.params, pname, t.data.shape).astype(np.float32)
+    for bname, arr in model.buffers():
+        arr[...] = _stored_tensor(ckpt.buffers, bname, arr.shape)
     return model
 
 
@@ -298,6 +305,8 @@ def train(model: Model, train_tiles: TileSet, val_data, cfg: TrainConfig,
     last_good: Checkpoint | None = None
     log_rows: list[dict] = []
     n = len(train_tiles)
+    if log_path is not None:
+        Path(log_path).write_text(_LOG_HEADER)
 
     for epoch in range(cfg.max_epochs):
         t0 = time.perf_counter()
@@ -335,20 +344,21 @@ def train(model: Model, train_tiles: TileSet, val_data, cfg: TrainConfig,
                "val_miou": val_miou, "lr": lr,
                "seconds": time.perf_counter() - t0}
         log_rows.append(row)
+        if log_path is not None:  # one row per epoch, so a divergence keeps the rows before it
+            with open(log_path, "a") as fh:
+                fh.write(_log_line(row))
         if progress is not None:
             progress(row)
 
     assert best is not None  # max_epochs >= 1 and the final epoch always validates
-    if log_path is not None:
-        write_log_csv(log_rows, log_path)
     if checkpoint_path is not None:
         save_checkpoint(best, checkpoint_path)
     return best, log_rows
 
 
-def write_log_csv(rows, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,loss,val_miou,lr,seconds\n")
-        for row in rows:
-            val = "" if row["val_miou"] is None else f"{row['val_miou']:.6f}"
-            fh.write(f"{row['epoch']},{row['loss']:.9g},{val},{row['lr']:.9g},{row['seconds']:.3f}\n")
+_LOG_HEADER = "epoch,loss,val_miou,lr,seconds\n"
+
+
+def _log_line(row: dict) -> str:
+    val = "" if row["val_miou"] is None else f"{row['val_miou']:.6f}"
+    return f"{row['epoch']},{row['loss']:.9g},{val},{row['lr']:.9g},{row['seconds']:.3f}\n"

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
+
 from seistile.cli import main
 from seistile.data import TileSet, load_masks, load_segv, load_volume
-from seistile.train import Checkpoint, save_checkpoint
+from seistile.network import build_model
+from seistile.topology import parse_topology
+from seistile.train import Checkpoint, checkpoint_from_model, save_checkpoint
 
 
 def desk_config(tmp_path, **tweaks):
@@ -181,3 +185,24 @@ def test_train_on_tiles_with_mismatched_sidecar_exits_2(tmp_path, capsys):
     sidecar.write_text(json.dumps(header))
     assert main(["train", "--config", str(cfg)]) == 2
     assert "provenance" in capsys.readouterr().err
+
+
+def test_prepare_with_malformed_volume_sidecar_exits_2(tmp_path, capsys):
+    cfg = desk_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    (tmp_path / "vol.segv.json").write_text("{not json")
+    assert main(["prepare", "--config", str(cfg)]) == 2
+    assert "vol.segv.json" in capsys.readouterr().err
+
+
+def test_checkpoint_tensor_of_the_wrong_shape_exits_2_for_eval(tmp_path, capsys):
+    cfg = desk_config(tmp_path, **{"split.test_slices": [9], "split.test_count": None})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    ckpt = checkpoint_from_model(build_model(parse_topology("c3 s2 4\ntc3 s2 4\nout 7"), seed=0))
+    kernel = ckpt.params["layer0.conv.kernel"]  # 3 x 3 x 1 x 4, stored as 3 x 3 x 4 x 1
+    ckpt.params["layer0.conv.kernel"] = np.ascontiguousarray(kernel.transpose(0, 1, 3, 2))
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, bad)
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
+    assert "layer0.conv.kernel" in capsys.readouterr().err

@@ -72,6 +72,15 @@ def test_segv_truncated_payload(tmp_path):
         load_segv(path)
 
 
+@pytest.mark.parametrize("sidecar", [b"{not json", b"\xff\xfe{}"])
+def test_segv_malformed_sidecar_is_format_error(tmp_path, sidecar):
+    path = tmp_path / "v.segv"
+    save_volume(path, Volume(data=np.zeros((2, 3, 4), dtype=np.float32)))
+    (tmp_path / "v.segv.json").write_bytes(sidecar)
+    with pytest.raises(FormatError, match="sidecar"):
+        load_segv(path)
+
+
 def test_mask_round_trip_preserves_num_classes(tmp_path):
     masks = MaskVolume(data=np.arange(8, dtype=np.uint8).reshape(2, 2, 2), num_classes=8)
     path = tmp_path / "m.segv"

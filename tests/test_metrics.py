@@ -1,7 +1,20 @@
+import itertools
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from seistile.data import MaskVolume, SynthConfig, Volume, generate_synthetic_volume, read_pgm
+import seistile.metrics as metrics_mod
+from seistile.data import (
+    MaskVolume,
+    SynthConfig,
+    Volume,
+    generate_synthetic_volume,
+    preprocess_rescale,
+    read_pgm,
+)
 from seistile.errors import ConfigError, ContractError, DimensionError
 from seistile.metrics import (
     confusion_matrix,
@@ -15,7 +28,9 @@ from seistile.metrics import (
     report_to_json,
     worker_count,
 )
+from seistile.network import build_model
 from seistile.tensor import Tensor
+from seistile.topology import preset, scale_widths
 
 
 class OracleModel:
@@ -227,6 +242,153 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SEISTILE_THREADS", "zero")
     with pytest.raises(ConfigError):
         worker_count()
+
+
+def test_worker_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("SEISTILE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert worker_count() == 3
+    monkeypatch.setenv("SEISTILE_THREADS", "5")
+    assert worker_count() == 5
+    monkeypatch.delenv("SEISTILE_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 64
+
+
+# ------------------------------------------------------- BLAS in the slice pool
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """OpenBLAS thread-count getter. The test runs with the count at 2 and
+    two evaluation workers; the process's own count is restored after it."""
+    blas = metrics_mod._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count symbol; evaluation leaves it alone")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    monkeypatch.setenv("SEISTILE_THREADS", "2")
+    yield get
+    set_(before)
+
+
+def _recording_blas_threads(monkeypatch, get, on_slice=None):
+    """Patch predict_slice_mask to note (thread, BLAS count) per slice."""
+    inner = metrics_mod.predict_slice_mask
+    calls = itertools.count()
+    seen = []
+
+    def noting(model, image, *args, **kwargs):
+        n = next(calls)
+        seen.append((threading.current_thread() is threading.main_thread(), get()))
+        if on_slice is not None:
+            on_slice(n)
+        return inner(model, image, *args, **kwargs)
+
+    monkeypatch.setattr(metrics_mod, "predict_slice_mask", noting)
+    return seen
+
+
+def test_pooled_evaluation_runs_blas_single_threaded_then_restores(blas_threads, monkeypatch):
+    oracle_vol, masks = _synthetic_eval_setup()
+    seen = _recording_blas_threads(monkeypatch, blas_threads)
+    evaluate_testset(OracleModel(), oracle_vol, masks, [0, 1, 2, 3], 30, 40)
+    assert seen == [(False, 1)] * 4
+    assert blas_threads() == 2
+
+
+def test_sequential_evaluation_leaves_blas_threads_alone(blas_threads, monkeypatch):
+    oracle_vol, masks = _synthetic_eval_setup()
+    monkeypatch.setenv("SEISTILE_THREADS", "1")
+    seen = _recording_blas_threads(monkeypatch, blas_threads)
+    evaluate_testset(OracleModel(), oracle_vol, masks, [0, 1], 30, 40)
+    assert seen == [(True, 2)] * 2
+
+
+def test_blas_threads_restored_when_a_worker_raises(blas_threads, monkeypatch):
+    oracle_vol, masks = _synthetic_eval_setup()
+
+    def fail_on_third(n):
+        if n == 2:
+            raise DimensionError("injected")
+
+    _recording_blas_threads(monkeypatch, blas_threads, fail_on_third)
+    with pytest.raises(DimensionError, match="injected"):
+        evaluate_testset(OracleModel(), oracle_vol, masks, [0, 1, 2, 3], 30, 40)
+    assert blas_threads() == 2
+
+
+def test_nested_evaluations_restore_blas_threads_once(blas_threads, monkeypatch):
+    oracle_vol, masks = _synthetic_eval_setup()
+    inner_done = []
+
+    def nested_on_first(n):
+        if n == 0:
+            evaluate_testset(OracleModel(), oracle_vol, masks, [0, 1], 30, 40)
+            inner_done.append(blas_threads())
+
+    seen = _recording_blas_threads(monkeypatch, blas_threads, nested_on_first)
+    evaluate_testset(OracleModel(), oracle_vol, masks, [0, 1, 2], 30, 40)
+    assert inner_done == [1]  # the outer pool still runs
+    assert len(seen) == 5 and all(count == 1 for _, count in seen)
+    assert blas_threads() == 2
+
+
+def test_concurrent_evaluations_hold_one_blas_thread_until_the_last_ends(blas_threads, monkeypatch):
+    oracle_vol, masks = _synthetic_eval_setup()
+    seen = _recording_blas_threads(monkeypatch, blas_threads)
+    errors = []
+
+    def evaluate_repeatedly():
+        try:
+            for _ in range(5):
+                evaluate_testset(OracleModel(), oracle_vol, masks, [0, 1, 2, 3], 30, 40)
+        except Exception as err:  # reported by the main thread below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=evaluate_repeatedly) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert errors == []
+    assert len(seen) == 4 * 5 * 4 and all(count == 1 for _, count in seen)
+    assert blas_threads() == 2
+
+
+def test_real_model_evaluation_is_bitwise_independent_of_the_thread_count(monkeypatch):
+    volume, masks = generate_synthetic_volume(SynthConfig(
+        slices=3, height=48, width=64, num_classes=7, horizon_waviness=1.0))
+    volume = preprocess_rescale(volume)
+    spec = scale_widths(preset("danet-fcn2"), 0.05, name="danet-fcn2-w0.05")
+    model = build_model(spec, seed=4, dtype=np.float32)
+    inner = metrics_mod.predict_slice_mask
+    slice_at = {volume.slice(i).ctypes.data: i for i in range(3)}
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SEISTILE_THREADS", threads)
+        predicted = {}
+
+        def keeping(model, image, *args, **kwargs):
+            mask = inner(model, image, *args, **kwargs)
+            predicted[slice_at[image.ctypes.data]] = mask
+            return mask
+
+        monkeypatch.setattr(metrics_mod, "predict_slice_mask", keeping)
+        runs.append((evaluate_testset(model, volume, masks, [0, 1, 2], 24, 32), predicted))
+    (serial, serial_masks), (pooled, pooled_masks) = runs
+    assert serial_masks.keys() == pooled_masks.keys() == {0, 1, 2}
+    for i in serial_masks:
+        np.testing.assert_array_equal(serial_masks[i], pooled_masks[i])
+    np.testing.assert_array_equal(serial.confusion, pooled.confusion)
+    assert serial.mmiou == pooled.mmiou
 
 
 # ------------------------------------------------------------------- reports

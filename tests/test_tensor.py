@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import seistile.tensor as tensor_mod
 from seistile.errors import ContractError, DimensionError
 from seistile.tensor import (
     Tensor,
@@ -22,6 +23,29 @@ from seistile.tensor import (
 def test_relu_forward():
     out = relu(Tensor([-1.0, 0.0, 2.0]))
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+
+
+def test_relu_records_nothing_unless_a_tape_will_keep_its_rule(monkeypatch):
+    x = Tensor(np.array([-1.5, 0.0, 2.0, -0.0, 3.0]), requires_grad=True)
+    taped_rule = tensor_mod.record_op
+
+    def no_rule(*args):
+        raise AssertionError("relu built a backward rule that nothing records")
+
+    monkeypatch.setattr(tensor_mod, "record_op", no_rule)
+    out = relu(x)  # no tape open
+    assert not out.requires_grad
+    np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0, 0.0, 3.0])
+    with recording() as tape:
+        relu(Tensor(x.data))  # a tape, but no input needs a gradient
+    assert len(tape) == 0
+
+    monkeypatch.setattr(tensor_mod, "record_op", taped_rule)
+    g = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    with recording() as tape:
+        loss = tensor_sum(mul(relu(x), Tensor(g)))
+    backward(loss, tape)
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 3.0, 0.0, 5.0])
 
 
 def test_add_forward():

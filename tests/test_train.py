@@ -271,6 +271,7 @@ def test_corrupt_checkpoint_raises_format_error(tmp_path, case, error):
 
 @pytest.mark.parametrize("case", [
     "parameter of the wrong size", "buffer of the wrong size", "missing buffer", "unparsable topology",
+    "parameter of the right size but the wrong shape",
 ])
 def test_checkpoint_that_does_not_fit_its_topology_is_format_error(case):
     ckpt = checkpoint_from_model(build_model(parse_topology(TINY_DSL, name="tiny"), seed=0, dtype=np.float32))
@@ -280,6 +281,9 @@ def test_checkpoint_that_does_not_fit_its_topology_is_format_error(case):
         ckpt.buffers["layer0.bn.running_mean"] = ckpt.buffers["layer0.bn.running_mean"][:-1]
     elif case == "missing buffer":
         del ckpt.buffers["layer0.bn.running_mean"]
+    elif case == "parameter of the right size but the wrong shape":
+        kernel = ckpt.params["layer0.conv.kernel"]  # 3 x 3 x 1 x 6
+        ckpt.params["layer0.conv.kernel"] = np.ascontiguousarray(kernel.transpose(0, 1, 3, 2))
     else:
         ckpt.topology_text = "c3 s2 6\nfrobnicate 12\n"
     with pytest.raises(FormatError):
@@ -388,3 +392,27 @@ def test_log_csv_format(tmp_path):
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[3]) == 0.01
+
+
+def test_divergence_leaves_the_log_rows_of_the_finished_epochs(tmp_path, monkeypatch):
+    vol, masks, tiles = tiny_tiles()
+    model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=6, dtype=np.float32)
+    calls = iter(range(100))
+    real_loss = train_mod.softmax_cross_entropy
+
+    def nan_in_epoch_1(logits, labels):  # one batch per epoch: call 1 is epoch 1
+        loss = real_loss(logits, labels)
+        if next(calls) == 1:
+            loss.data = np.full_like(loss.data, np.nan)
+        return loss
+
+    monkeypatch.setattr(train_mod, "softmax_cross_entropy", nan_in_epoch_1)
+    path = tmp_path / "log.csv"
+    with pytest.raises(DivergenceError, match="epoch 1"):
+        train(model, tiles, _val_pairs(vol, masks, [2]),
+              TrainConfig(batch_size=len(tiles), max_epochs=3, seed=3), OptimizerConfig(),
+              log_path=path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[0] == "epoch,loss,val_miou,lr,seconds"
+    assert lines[1].startswith("0,")
