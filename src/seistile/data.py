@@ -84,11 +84,8 @@ def save_segv(path, array: np.ndarray, meta: dict | None = None) -> None:
     """
     path = Path(path)
     arr = np.ascontiguousarray(array)
-    if arr.dtype == np.float32:
-        code = 0
-    elif arr.dtype == np.uint8:
-        code = 1
-    else:
+    code = _DTYPE_CODES.get(arr.dtype)
+    if code is None:
         raise ContractError(f"SEGV stores f32 or u8, not {arr.dtype}")
     header = SEGV_MAGIC + bytes([code, arr.ndim])
     header += np.array(arr.shape, dtype="<u4").tobytes()
@@ -305,11 +302,8 @@ class TileConfig:
     tile_h: int
     tile_w: int
     overlap_fraction: float = 0.5
-    edge_policy: str = "drop_partial"
 
     def __post_init__(self):
-        if self.edge_policy != "drop_partial":
-            raise ConfigError(f"unsupported edge policy {self.edge_policy!r}")
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise ConfigError("overlap_fraction must lie in [0, 1)")
         for name, tile in (("tile_h", self.tile_h), ("tile_w", self.tile_w)):

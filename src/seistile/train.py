@@ -6,9 +6,10 @@ the binary checkpoint container.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,15 +122,6 @@ class RMSProp:
             mom += tmp
             tensor.data -= mom
 
-    def state_arrays(self):
-        for name, _, _ in self.params:
-            yield name, self.ms[name], self.mom[name]
-
-    def load_state(self, ms: dict, mom: dict) -> None:
-        for name, t, _ in self.params:
-            self.ms[name] = np.asarray(ms[name], dtype=t.data.dtype).reshape(t.data.shape)
-            self.mom[name] = np.asarray(mom[name], dtype=t.data.dtype).reshape(t.data.shape)
-
 
 # ------------------------------------------------------------- checkpointing
 
@@ -143,39 +135,33 @@ class Checkpoint:
     val_miou: float
     params: dict[str, np.ndarray]
     buffers: dict[str, np.ndarray]
-    opt_ms: dict[str, np.ndarray] = field(default_factory=dict)
-    opt_mom: dict[str, np.ndarray] = field(default_factory=dict)
-    rng_state: dict | None = None
 
 
 def checkpoint_from_model(model: Model, optimizer: RMSProp | None = None,
-                          epoch: int = -1, val_miou: float = float("nan"),
-                          rng: np.random.Generator | None = None) -> Checkpoint:
-    ckpt = Checkpoint(
+                          epoch: int = -1, val_miou: float = float("nan")) -> Checkpoint:
+    """Copy the model's parameters and running statistics. ``optimizer`` is
+    accepted for callers that pass one and is not stored."""
+    return Checkpoint(
         topology_text=model.topology_text(),
         epoch=epoch,
         val_miou=val_miou,
         params={name: t.data.copy() for name, t, _ in model.parameters()},
         buffers={name: a.copy() for name, a in model.buffers()},
-        rng_state=None if rng is None else rng.bit_generator.state,
     )
-    if optimizer is not None:
-        for name, ms, mom in optimizer.state_arrays():
-            ckpt.opt_ms[name] = ms.copy()
-            ckpt.opt_mom[name] = mom.copy()
-    return ckpt
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary layout: magic, u32 little-endian JSON header length, JSON
     header, then raw little-endian f32 blobs. Learnable parameters come
-    first so their section length is exactly 4 * count_parameters."""
-    sections = [("param", ckpt.params), ("running", ckpt.buffers),
-                ("opt_ms", ckpt.opt_ms), ("opt_mom", ckpt.opt_mom)]
+    first so their section length is exactly 4 * count_parameters.
+
+    The file is written under a temporary name in the target's directory and
+    then renamed over the target, so a failed write leaves the previous file
+    as it was."""
     directory = []
     blobs = []
     offset = 0
-    for kind, tensors in sections:
+    for kind, tensors in (("param", ckpt.params), ("running", ckpt.buffers)):
         for name, arr in tensors.items():
             blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
             directory.append({"name": name, "kind": kind, "shape": list(arr.shape),
@@ -186,18 +172,27 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "topology": ckpt.topology_text,
         "epoch": ckpt.epoch,
         "val_miou": None if np.isnan(ckpt.val_miou) else ckpt.val_miou,
-        "rng_state": ckpt.rng_state,
         "tensors": directory,
     }).encode()
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint. Files written before checkpoints dropped the
+    optimizer state still load: their ``opt_ms``/``opt_mom`` tensors are
+    bounds-checked like the others and then discarded."""
     blob = Path(path).read_bytes()
     if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
@@ -207,9 +202,9 @@ def load_checkpoint(path) -> Checkpoint:
     (header_len,) = struct.unpack_from("<I", blob, len(CKPT_MAGIC))
     if len(blob) < start + header_len:
         raise CorruptionError(f"{path}: header of {header_len} bytes runs past the end of the file")
-    payload = blob[start + header_len :]
-    sections: dict[str, dict[str, np.ndarray]] = {
-        "param": {}, "running": {}, "opt_ms": {}, "opt_mom": {},
+    payload = memoryview(blob)[start + header_len :]
+    sections: dict[str, dict[str, np.ndarray] | None] = {
+        "param": {}, "running": {}, "opt_ms": None, "opt_mom": None,
     }
     try:
         header = json.loads(blob[start : start + header_len].decode())
@@ -217,8 +212,10 @@ def load_checkpoint(path) -> Checkpoint:
             raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
             if len(raw) != entry["nbytes"]:
                 raise CorruptionError(f"{path}: truncated tensor {entry['name']}")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).copy()
-            sections[entry["kind"]][entry["name"]] = arr
+            arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
+            kept = sections[entry["kind"]]
+            if kept is not None:
+                kept[entry["name"]] = arr.copy()
         val = header["val_miou"]
         return Checkpoint(
             topology_text=header["topology"],
@@ -226,9 +223,6 @@ def load_checkpoint(path) -> Checkpoint:
             val_miou=float("nan") if val is None else float(val),
             params=sections["param"],
             buffers=sections["running"],
-            opt_ms=sections["opt_ms"],
-            opt_mom=sections["opt_mom"],
-            rng_state=header["rng_state"],
         )
     except (KeyError, TypeError, ValueError) as err:  # ValueError covers JSON and UTF-8 decoding
         raise FormatError(f"{path}: malformed checkpoint header ({type(err).__name__}: {err})") from None
@@ -291,7 +285,8 @@ def train(model: Model, train_tiles: TileSet, val_data, cfg: TrainConfig,
     ``val_data`` is a sequence of (image, mask) slice pairs; validation
     reassembles full slices with batch norm frozen. The checkpoint with the
     highest validation mIOU is retained (earliest epoch wins ties). On
-    divergence the last good checkpoint is attached to the raised error.
+    divergence it is attached to the raised error; before the first
+    validation, the last finished epoch's unscored checkpoint is attached.
     """
     if len(train_tiles) == 0:
         raise ConfigError("empty training tile set")
@@ -302,7 +297,7 @@ def train(model: Model, train_tiles: TileSet, val_data, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     optimizer = RMSProp(model.parameters(), opt_cfg)
     best: Checkpoint | None = None
-    last_good: Checkpoint | None = None
+    validated = False  # until the first validation, best is the last finished epoch
     log_rows: list[dict] = []
     n = len(train_tiles)
     if log_path is not None:
@@ -328,17 +323,18 @@ def train(model: Model, train_tiles: TileSet, val_data, cfg: TrainConfig,
                 optimizer.step(lr)
                 loss_sum += loss_value * len(idx)
         except DivergenceError as err:
-            err.checkpoint = best if best is not None else last_good
+            err.checkpoint = best
             raise
         mean_loss = loss_sum / n
 
         val_miou = None
         if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.max_epochs - 1:
             val_miou = _validation_miou(model, val_data, tile_h, tile_w)
-            if best is None or val_miou > best.val_miou:
-                best = checkpoint_from_model(model, optimizer, epoch, val_miou, rng)
-        last_good = checkpoint_from_model(model, optimizer, epoch,
-                                          float("nan") if val_miou is None else val_miou, rng)
+            if not validated or val_miou > best.val_miou:
+                best = checkpoint_from_model(model, epoch=epoch, val_miou=val_miou)
+            validated = True
+        elif not validated:
+            best = checkpoint_from_model(model, epoch=epoch)
 
         row = {"epoch": epoch, "loss": mean_loss,
                "val_miou": val_miou, "lr": lr,
@@ -350,7 +346,7 @@ def train(model: Model, train_tiles: TileSet, val_data, cfg: TrainConfig,
         if progress is not None:
             progress(row)
 
-    assert best is not None  # max_epochs >= 1 and the final epoch always validates
+    assert validated  # max_epochs >= 1 and the final epoch always validates
     if checkpoint_path is not None:
         save_checkpoint(best, checkpoint_path)
     return best, log_rows

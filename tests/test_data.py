@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ def test_segv_expected_payload_size(tmp_path):
     blob = path.read_bytes()
     header = 6 + 2 + 3 * 4
     assert len(blob) - header == 3 * 4 * 5 * 4
+
+
+@pytest.mark.parametrize("dtype, code", [("<f4", 0), ("u1", 1)])
+def test_segv_bytes_are_the_documented_layout(tmp_path, dtype, code):
+    data = np.arange(24).reshape(2, 3, 4).astype(dtype)
+    path = tmp_path / "v.segv"
+    save_segv(path, data)
+    expected = b"SEGV1\n" + bytes([code, 3]) + struct.pack("<3I", 2, 3, 4) + data.tobytes()
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("dtype", ["<f8", ">f4", "i1", "?"])
+def test_segv_rejects_other_dtypes(tmp_path, dtype):
+    with pytest.raises(ContractError):
+        save_segv(tmp_path / "v.segv", np.zeros((1, 2, 2), dtype=dtype))
 
 
 def test_segv_bad_magic(tmp_path):

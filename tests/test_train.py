@@ -208,25 +208,111 @@ def test_checkpoint_param_blob_length(tmp_path):
     assert sum(e["nbytes"] for e in param_entries) == 4 * count_parameters(spec)
 
 
-def test_checkpoint_preserves_optimizer_and_rng_state(tmp_path):
+def _header(blob):
+    hlen = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
+    return hlen, json.loads(blob[12 : 12 + hlen].decode())
+
+
+def test_checkpoint_holds_only_parameters_and_running_stats(tmp_path):
     spec = parse_topology(TINY_DSL, name="tiny")
     model = build_model(spec, seed=0, dtype=np.float32)
     opt = RMSProp(model.parameters(), OptimizerConfig())
     for _, t, _ in model.parameters():
         t.grad = np.ones_like(t.data)
-    opt.step(0.01)
-    rng = np.random.default_rng(77)
-    rng.normal(size=10)
+    opt.step(0.01)  # the optimizer has state, and the checkpoint does not take it
 
     path = tmp_path / "m.ckpt"
-    save_checkpoint(checkpoint_from_model(model, opt, epoch=1, val_miou=0.4, rng=rng), path)
+    save_checkpoint(checkpoint_from_model(model, opt, epoch=1, val_miou=0.4), path)
     ckpt = load_checkpoint(path)
     assert ckpt.epoch == 1 and abs(ckpt.val_miou - 0.4) < 1e-9
-    for name, ms, mom in opt.state_arrays():
-        np.testing.assert_allclose(ckpt.opt_ms[name], ms.astype(np.float32), rtol=1e-6)
-    resumed = np.random.default_rng(1)
-    resumed.bit_generator.state = ckpt.rng_state
-    np.testing.assert_array_equal(resumed.normal(size=3), rng.normal(size=3))
+
+    blob = path.read_bytes()
+    hlen, header = _header(blob)
+    assert sorted(header) == ["epoch", "tensors", "topology", "val_miou"]
+    assert [(e["kind"], e["name"]) for e in header["tensors"]] == (
+        [("param", n) for n, _, _ in model.parameters()] + [("running", n) for n, _ in model.buffers()])
+    running = sum(a.size for _, a in model.buffers())
+    assert len(blob) == 12 + hlen + 4 * (count_parameters(spec) + running)
+
+
+def _with_optimizer_sections(blob):
+    """The same checkpoint in the older layout that also stored RMSProp
+    ``opt_ms``/``opt_mom`` after the running stats and the shuffle RNG state."""
+    hlen, header = _header(blob)
+    payload = blob[12 + hlen :]
+    rng = np.random.default_rng(9)
+    offset = len(payload)
+    blobs = []
+    params = [e for e in header["tensors"] if e["kind"] == "param"]
+    for kind in ("opt_ms", "opt_mom"):
+        for entry in params:
+            data = rng.normal(size=entry["shape"]).astype("<f4").tobytes()
+            header["tensors"].append({"name": entry["name"], "kind": kind, "shape": entry["shape"],
+                                      "offset": offset, "nbytes": len(data)})
+            blobs.append(data)
+            offset += len(data)
+    header["rng_state"] = np.random.default_rng(77).bit_generator.state
+    text = json.dumps(header).encode()
+    return blob[:8] + struct.pack("<I", len(text)) + text + payload + b"".join(blobs)
+
+
+def test_checkpoint_with_optimizer_sections_still_loads(tmp_path):
+    spec = parse_topology(TINY_DSL, name="tiny")
+    model = build_model(spec, seed=3, dtype=np.float32)
+    model.buffers()[0][1][:] = 0.25
+    x = Tensor(np.random.default_rng(1).normal(size=(2, 16, 16, 1)).astype(np.float32))
+    before = model.forward(x, train=False).data
+
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_model(model, epoch=2, val_miou=0.3), path)
+    current = load_checkpoint(path)
+    legacy_blob = _with_optimizer_sections(path.read_bytes())
+    legacy_path = tmp_path / "legacy.ckpt"
+    legacy_path.write_bytes(legacy_blob)
+    legacy = load_checkpoint(legacy_path)
+    assert (legacy.epoch, legacy.val_miou) == (current.epoch, current.val_miou)
+    for kept, read in ((current.params, legacy.params), (current.buffers, legacy.buffers)):
+        assert list(read) == list(kept) and all(np.array_equal(read[n], kept[n]) for n in kept)
+    assert np.array_equal(restore_model(legacy).forward(x, train=False).data, before)
+
+    hlen, header = _header(legacy_blob)
+    header["tensors"][-1]["kind"] = "bogus"
+    text = json.dumps(header).encode()
+    legacy_path.write_bytes(legacy_blob[:8] + struct.pack("<I", len(text)) + text + legacy_blob[12 + hlen :])
+    with pytest.raises(FormatError, match="bogus"):
+        load_checkpoint(legacy_path)
+
+
+class _FailsAfterHeader:
+    """A file whose writes fail once magic, header length and header are out."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 3:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    spec = parse_topology(TINY_DSL, name="tiny")
+    path = tmp_path / "checkpoint.ckpt"
+    save_checkpoint(checkpoint_from_model(build_model(spec, seed=0, dtype=np.float32)), path)
+    previous = path.read_bytes()
+
+    monkeypatch.setattr(train_mod, "open", lambda *a, **k: _FailsAfterHeader(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(checkpoint_from_model(build_model(spec, seed=1, dtype=np.float32)), path)
+    assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.ckpt"]
 
 
 def _corrupt(case, blob):
@@ -394,19 +480,25 @@ def test_log_csv_format(tmp_path):
     assert first[0] == "0" and float(first[3]) == 0.01
 
 
-def test_divergence_leaves_the_log_rows_of_the_finished_epochs(tmp_path, monkeypatch):
-    vol, masks, tiles = tiny_tiles()
-    model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=6, dtype=np.float32)
+def _nan_loss_in_epoch(monkeypatch, diverging_epoch):
+    """Make the loss non-finite in one epoch; with one batch per epoch, loss
+    call k is epoch k."""
     calls = iter(range(100))
     real_loss = train_mod.softmax_cross_entropy
 
-    def nan_in_epoch_1(logits, labels):  # one batch per epoch: call 1 is epoch 1
+    def loss_fn(logits, labels):
         loss = real_loss(logits, labels)
-        if next(calls) == 1:
+        if next(calls) == diverging_epoch:
             loss.data = np.full_like(loss.data, np.nan)
         return loss
 
-    monkeypatch.setattr(train_mod, "softmax_cross_entropy", nan_in_epoch_1)
+    monkeypatch.setattr(train_mod, "softmax_cross_entropy", loss_fn)
+
+
+def test_divergence_leaves_the_log_rows_of_the_finished_epochs(tmp_path, monkeypatch):
+    vol, masks, tiles = tiny_tiles()
+    model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=6, dtype=np.float32)
+    _nan_loss_in_epoch(monkeypatch, 1)
     path = tmp_path / "log.csv"
     with pytest.raises(DivergenceError, match="epoch 1"):
         train(model, tiles, _val_pairs(vol, masks, [2]),
@@ -416,3 +508,41 @@ def test_divergence_leaves_the_log_rows_of_the_finished_epochs(tmp_path, monkeyp
     assert len(lines) == 2
     assert lines[0] == "epoch,loss,val_miou,lr,seconds"
     assert lines[1].startswith("0,")
+
+
+@pytest.mark.parametrize("diverging_epoch", [0, 1, 2])
+def test_divergence_before_the_first_validation_attaches_the_last_epoch(monkeypatch, diverging_epoch):
+    vol, masks, tiles = tiny_tiles()
+    model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=6, dtype=np.float32)
+    _nan_loss_in_epoch(monkeypatch, diverging_epoch)
+    with pytest.raises(DivergenceError) as excinfo:
+        train(model, tiles, _val_pairs(vol, masks, [2]),
+              TrainConfig(batch_size=len(tiles), max_epochs=4, eval_every=3, seed=3), OptimizerConfig())
+    ckpt = excinfo.value.checkpoint
+    if diverging_epoch == 0:
+        assert ckpt is None
+        return
+    assert ckpt.epoch == diverging_epoch - 1 and np.isnan(ckpt.val_miou)
+    # the non-finite loss stops the epoch before its only step: the model is the checkpoint's
+    for name, t, _ in model.parameters():
+        assert np.array_equal(ckpt.params[name], t.data)
+
+
+def test_training_copies_the_model_only_when_it_improves(monkeypatch):
+    vol, masks, tiles = tiny_tiles()
+    model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=0, dtype=np.float32)
+    scores = iter([0.5, 0.4, 0.6, 0.6, 0.3])
+    monkeypatch.setattr(train_mod, "_validation_miou", lambda *a, **k: next(scores))
+    copied = []
+    real_copy = train_mod.checkpoint_from_model
+
+    def counting_copy(*args, **kwargs):
+        ckpt = real_copy(*args, **kwargs)
+        copied.append(ckpt.epoch)
+        return ckpt
+
+    monkeypatch.setattr(train_mod, "checkpoint_from_model", counting_copy)
+    best, _ = train(model, tiles, _val_pairs(vol, masks, [2]),
+                    TrainConfig(batch_size=len(tiles), max_epochs=5, seed=1), OptimizerConfig())
+    assert copied == [0, 2]
+    assert (best.epoch, best.val_miou) == (2, 0.6)
