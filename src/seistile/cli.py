@@ -63,14 +63,16 @@ def _announce(cfg: dict) -> None:
 
 def _model_spec(cfg: dict) -> T.TopologySpec:
     m = cfg["model"]
-    if m.get("dsl_path"):
+    scale = m["width_scale"]
+    if scale <= 0:
+        raise ConfigError(f"model.width_scale must be > 0, got {scale}")
+    if m["dsl_path"]:
         path = Path(m["dsl_path"])
         if not path.exists():
             raise ConfigError(f"model.dsl_path {path} does not exist")
         spec = T.parse_topology(path.read_text(), name=path.stem)
     else:
         spec = T.preset(m["preset"])
-    scale = float(m.get("width_scale") or 1.0)
     if scale != 1.0:
         spec = T.scale_widths(spec, scale, name=f"{spec.name}-w{scale:g}")
     return spec
@@ -83,19 +85,13 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _split_indices(cfg: dict, num_slices: int) -> dict:
-    scfg = cfg["split"]
-    if scfg["test_slices"] is not None:
-        test = tuple(int(i) for i in scfg["test_slices"])
-    else:
-        test = D.default_test_slices(num_slices, int(scfg["test_count"]))
-    split_cfg = D.SplitConfig(
-        n_blocks=int(scfg["n_blocks"]),
-        train_fraction=float(scfg["train_fraction"]),
-        slice_limit=None if scfg["slice_limit"] is None else int(scfg["slice_limit"]),
-        test_slices=test,
-        seed=int(cfg["seed"]) + SEED_SPLIT,
-    )
-    return D.split_blocks(num_slices, split_cfg)
+    scfg = dict(cfg["split"])
+    count = scfg.pop("test_count")
+    if scfg["test_slices"] is None:
+        if count is None:
+            raise ConfigError("split.test_count is null and split.test_slices is not set")
+        scfg["test_slices"] = D.default_test_slices(num_slices, count)
+    return D.split_blocks(num_slices, D.SplitConfig(**scfg, seed=cfg["seed"] + SEED_SPLIT))
 
 
 # ---------------------------------------------------------------- commands
@@ -111,13 +107,7 @@ def cmd_config(args) -> int:
 def cmd_synth(args) -> int:
     cfg = _resolved(args)
     _announce(cfg)
-    s = cfg["synth"]
-    synth_cfg = D.SynthConfig(
-        slices=int(s["slices"]), height=int(s["height"]), width=int(s["width"]),
-        num_classes=int(s["num_classes"]),
-        horizon_waviness=float(s["horizon_waviness"]),
-        texture_seed=int(cfg["seed"]) + SEED_SYNTH,
-    )
+    synth_cfg = D.SynthConfig(**cfg["synth"], texture_seed=cfg["seed"] + SEED_SYNTH)
     volume, masks = D.generate_synthetic_volume(synth_cfg)
     vol_path, mask_path = Path(cfg["data"]["volume"]), Path(cfg["data"]["masks"])
     for p in (vol_path, mask_path):
@@ -137,22 +127,19 @@ def cmd_prepare(args) -> int:
     if volume.data.shape != masks.data.shape:
         raise FormatError(f"volume {volume.data.shape} and masks {masks.data.shape} disagree")
 
-    volume = D.preprocess_rescale(volume, float(cfg["data"]["clip_lo_pct"]),
-                                  float(cfg["data"]["clip_hi_pct"]))
+    volume = D.preprocess_rescale(volume, cfg["data"]["clip_lo_pct"], cfg["data"]["clip_hi_pct"])
     if masks.num_classes == 8:
         masks = D.merge_classes(masks)
     elif masks.num_classes != 7:
         raise FormatError(f"expected 7- or 8-class masks, got {masks.num_classes}")
 
     split = _split_indices(cfg, volume.num_slices)
-    tile_cfg = D.TileConfig(tile_h=int(cfg["tiles"]["tile_h"]),
-                            tile_w=int(cfg["tiles"]["tile_w"]),
-                            overlap_fraction=float(cfg["tiles"]["overlap_fraction"]))
+    tile_cfg = D.TileConfig(**cfg["tiles"])
     out = _out_dir(cfg)
     D.save_volume(out / "volume_proc.segv", volume)
     D.save_masks(out / "masks_merged.segv", masks)
-    (out / "split.json").write_text(json.dumps(
-        {**split, "config_digest": config_digest(cfg)}, indent=2, sort_keys=True))
+    with D.atomic_open(out / "split.json", "w") as fh:
+        fh.write(json.dumps({**split, "config_digest": config_digest(cfg)}, indent=2, sort_keys=True))
     for name, indices in (("tiles_train", split["train"]), ("tiles_val", split["val"])):
         tiles = D.tile_volume(volume, masks, indices, tile_cfg)
         tiles.save(out / name)
@@ -167,7 +154,14 @@ def _load_prepared(cfg: dict):
             raise ConfigError(f"{out / required} missing; run `seistile prepare` first")
     volume = D.load_volume(out / "volume_proc.segv")
     masks = D.load_masks(out / "masks_merged.segv")
-    split = json.loads((out / "split.json").read_text())
+    path = out / "split.json"
+    try:
+        doc = json.loads(path.read_text())
+        split = {part: doc[part] for part in ("train", "val", "test")}
+        if not all(type(i) is int and 0 <= i < volume.num_slices for part in split.values() for i in part):
+            raise ValueError(f"slice indices must be integers in [0, {volume.num_slices})")
+    except (KeyError, TypeError, ValueError) as err:  # ValueError covers JSON and UTF-8 decoding
+        raise FormatError(f"{path}: malformed split ({type(err).__name__}: {err})") from None
     return out, volume, masks, split
 
 
@@ -182,22 +176,10 @@ def cmd_train(args) -> int:
     spec = _model_spec(cfg)
     if spec.num_classes != masks.num_classes:
         raise ConfigError(f"model emits {spec.num_classes} classes but masks have {masks.num_classes}")
-    model = build_model(spec, seed=int(cfg["seed"]) + SEED_BUILD, dtype=np.float32,
-                        bn_eps=float(cfg["model"]["bn_eps"]),
-                        bn_momentum=float(cfg["model"]["bn_momentum"]))
-
-    tcfg = cfg["train"]
-    train_cfg = TrainConfig(
-        batch_size=int(tcfg["batch_size"]),
-        max_epochs=int(tcfg["max_epochs"]),
-        lr_schedule=tuple((int(e), float(lr)) for e, lr in tcfg["lr_schedule"]),
-        eval_every=int(tcfg["eval_every"]),
-        seed=int(cfg["seed"]) + SEED_SHUFFLE,
-    )
-    ocfg = cfg["optimizer"]
-    opt_cfg = OptimizerConfig(decay=float(ocfg["decay"]), momentum=float(ocfg["momentum"]),
-                              epsilon=float(ocfg["epsilon"]),
-                              weight_decay=float(ocfg["weight_decay"]))
+    model = build_model(spec, seed=cfg["seed"] + SEED_BUILD, dtype=np.float32,
+                        bn_eps=cfg["model"]["bn_eps"], bn_momentum=cfg["model"]["bn_momentum"])
+    train_cfg = TrainConfig(**cfg["train"], seed=cfg["seed"] + SEED_SHUFFLE)
+    opt_cfg = OptimizerConfig(**cfg["optimizer"])
     val_data = [(volume.slice(i), masks.slice(i)) for i in split["val"]]
 
     def progress(row):
@@ -230,10 +212,11 @@ def cmd_eval(args) -> int:
     if not split["test"]:
         raise ConfigError("split has no test slices")
     report = evaluate_testset(model, volume, masks, split["test"],
-                              int(cfg["eval"]["tile_h"]), int(cfg["eval"]["tile_w"]))
+                              cfg["eval"]["tile_h"], cfg["eval"]["tile_w"])
     report.extra["config_digest"] = config_digest(cfg)
-    (out / "report.json").write_text(report_to_json(report))
-    (out / "report.csv").write_text(report_to_csv(report))
+    for name, text in (("report.json", report_to_json(report)), ("report.csv", report_to_csv(report))):
+        with D.atomic_open(out / name, "w") as fh:
+            fh.write(text)
     print(report_to_csv(report), end="")
     print(f"mmIOU {report.mmiou:.6f} over {len(report.images)} test slices", file=sys.stderr)
     return 0
@@ -288,8 +271,7 @@ def cmd_export_masks(args) -> int:
 
     indices = split["test"] or split["val"]
     for i in indices:
-        pred = predict_slice_mask(model, volume.slice(i),
-                                  int(cfg["eval"]["tile_h"]), int(cfg["eval"]["tile_w"]))
+        pred = predict_slice_mask(model, volume.slice(i), cfg["eval"]["tile_h"], cfg["eval"]["tile_w"])
         export_mask_pgm(mask_dir / f"pred_{i:04d}.pgm", pred, masks.num_classes)
         hc, wc = pred.shape
         export_mask_pgm(mask_dir / f"gt_{i:04d}.pgm", masks.slice(i)[:hc, :wc], masks.num_classes)

@@ -2,8 +2,9 @@
 and a provenance digest.
 
 A run config is a JSON object with the sections below. Files may specify any
-subset; unspecified fields take defaults, unknown keys are rejected. All
-randomness in a run flows from the single top-level seed.
+subset; unspecified fields take defaults, unknown keys are rejected, and each
+value must have its default's type (an int also serves where a float is
+expected). All randomness in a run flows from the single top-level seed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -54,17 +56,38 @@ DEFAULTS: dict = {
 }
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+# fields that take null besides one type of value, and that type
+_NULLABLE = {"split.slice_limit": int, "split.test_count": int,
+             "split.test_slices": list, "model.dsl_path": str}
+# a float field takes an int and keeps it as given; bool, an int to Python, is no number
+_TYPES = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+          str: (str, "a string"), list: (list, "a list")}
+
+
+def _check(where: str, default, value) -> None:
+    if value is None and where in _NULLABLE:
+        return
+    accepted, name = _TYPES[_NULLABLE.get(where, type(default))]
+    if (isinstance(value, bool) or not isinstance(value, accepted)
+            or isinstance(value, float) and not math.isfinite(value)):  # json reads NaN and Infinity
+        null = " or null" if where in _NULLABLE else ""
+        raise ConfigError(f"{where} must be {name}{null}, got {json.dumps(value, default=repr)}")
+
+
+def _merge(base: dict, override: dict, path: str = "", defaults: dict = DEFAULTS) -> dict:
+    """``base`` with ``override`` laid over it: the one place a config is checked.
+    Every key must be one of the defaults' and every value of its default's type."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
-        if key not in base:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict):
+        if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be an object")
-            out[key] = _merge(base[key], value, where)
+            out[key] = _merge(base[key], value, where, defaults[key])
         else:
+            _check(where, defaults[key], value)
             out[key] = value
     return out
 
@@ -88,31 +111,25 @@ def resolve_config(partial: dict | None = None) -> dict:
 
 
 def apply_overrides(config: dict, assignments) -> dict:
-    """Apply ``section.key=json_value`` overrides from the command line."""
-    out = copy.deepcopy(config)
+    """Apply ``section.key=json_value`` overrides from the command line, checked
+    as a config file is; a later override of the same field wins."""
+    partial: dict = {}
     for assignment in assignments or ():
         if "=" not in assignment:
             raise ConfigError(f"override {assignment!r} is not of the form key=value")
         dotted, raw = assignment.split("=", 1)
-        keys = dotted.split(".")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw  # bare strings are convenient on the command line
-        node = out
-        parents = DEFAULTS
-        for k in keys[:-1]:
-            if not isinstance(parents, dict) or k not in parents:
-                raise ConfigError(f"unknown config key {dotted!r}")
-            node = node.setdefault(k, {})
-            parents = parents[k]
-        leaf = keys[-1]
-        if not isinstance(parents, dict) or leaf not in parents:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        if isinstance(parents[leaf], dict):
-            raise ConfigError(f"{dotted} names a section, not a field")
+        *sections, leaf = dotted.split(".")
+        node = partial
+        for key in sections:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
         node[leaf] = value
-    return out
+    return _merge(config, partial)
 
 
 def config_digest(config: dict) -> str:

@@ -8,7 +8,9 @@ binary PGM for eyeballing.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +26,7 @@ __all__ = [
     "TileConfig",
     "TileSet",
     "SynthConfig",
+    "atomic_open",
     "save_segv",
     "load_segv",
     "load_volume",
@@ -72,6 +75,26 @@ class MaskVolume:
         return self.data[i]
 
 
+# ------------------------------------------------------------ atomic writes
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb"):
+    """Open a temporary file next to ``path`` for writing and rename it over
+    ``path`` when the block ends, so a failed write leaves the previous file
+    as it was and no temporary file behind. There is no fsync: this guards
+    against a failed write or a killed process, not against power loss."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ----------------------------------------------------------------- SEGV I/O
 
 
@@ -89,11 +112,12 @@ def save_segv(path, array: np.ndarray, meta: dict | None = None) -> None:
         raise ContractError(f"SEGV stores f32 or u8, not {arr.dtype}")
     header = SEGV_MAGIC + bytes([code, arr.ndim])
     header += np.array(arr.shape, dtype="<u4").tobytes()
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(header)
         fh.write(arr.astype(_DTYPES[code], copy=False).tobytes())
     if meta is not None:
-        Path(str(path) + ".json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+        with atomic_open(str(path) + ".json", "w") as fh:
+            fh.write(json.dumps(meta, indent=2, sort_keys=True))
 
 
 def load_segv(path) -> tuple[np.ndarray, dict]:
@@ -164,7 +188,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     if img.ndim != 2:
         raise ContractError(f"PGM export needs a 2-D image, got rank {img.ndim}")
     img = np.clip(np.rint(img), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         fh.write(img.tobytes())
 
@@ -219,7 +243,7 @@ def preprocess_rescale(volume: Volume, clip_lo_pct: float = 1.0, clip_hi_pct: fl
         clipped = np.clip(volume.data, lo, hi)
         out = ((clipped - lo) * (255.0 / (hi - lo))).astype(np.float32)
     meta = dict(volume.meta)
-    meta["rescaled"] = {"clip_lo_pct": clip_lo_pct, "clip_hi_pct": clip_hi_pct,
+    meta["rescaled"] = {"clip_lo_pct": float(clip_lo_pct), "clip_hi_pct": float(clip_hi_pct),
                         "lo": float(lo), "hi": float(hi)}
     return Volume(data=out, meta=meta)
 
@@ -240,6 +264,9 @@ class SplitConfig:
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.n_blocks < 1:
             raise ConfigError("n_blocks must be >= 1")
+        for t in self.test_slices:
+            if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+                raise ConfigError(f"test slice {t!r} is not an integer")
 
 
 def default_test_slices(num_slices: int, count: int = 40) -> tuple[int, ...]:
@@ -310,7 +337,7 @@ class TileConfig:
             stride = tile * (1.0 - self.overlap_fraction)
             if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
                 raise ConfigError(f"{name}={tile} with overlap {self.overlap_fraction} "
-                                  f"gives non-integer stride {stride}")
+                                  f"gives stride {stride}, not a positive integer")
 
     @property
     def stride_h(self) -> int:
@@ -339,9 +366,8 @@ class TileSet:
         prov = [
             {"slice": int(s), "row": int(r), "col": int(c)} for s, r, c in self.provenance
         ]
-        Path(stem + ".json").write_text(
-            json.dumps({"tile_h": self.tile_h, "tile_w": self.tile_w, "tiles": prov}, indent=2)
-        )
+        with atomic_open(stem + ".json", "w") as fh:
+            fh.write(json.dumps({"tile_h": self.tile_h, "tile_w": self.tile_w, "tiles": prov}, indent=2))
 
     @classmethod
     def load(cls, stem) -> "TileSet":

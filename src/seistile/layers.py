@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ContractError, DegenerateBatchError, DimensionError, LabelError
+from .errors import ConfigError, ContractError, DegenerateBatchError, DimensionError, LabelError
 from .tensor import Tensor, add, record_op, relu
 
 __all__ = [
@@ -325,9 +325,9 @@ def _bn_arrays(channels: int, dtype) -> tuple[Tensor, Tensor, np.ndarray, np.nda
 class BatchNorm2D:
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.997, dtype=np.float64):
         if eps <= 0:
-            raise ContractError("eps must be positive")
+            raise ConfigError(f"batch norm eps must be > 0, got {eps}")
         if not 0.0 < momentum < 1.0:
-            raise ContractError("momentum must lie in (0, 1)")
+            raise ConfigError(f"batch norm momentum must lie in (0, 1), got {momentum}")
         self.channels = channels
         self.eps = eps
         self.momentum = momentum

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MaskVolume, Volume, write_pgm
+from .data import MaskVolume, TileConfig, Volume, tile_origins, write_pgm
 from .errors import ConfigError, ContractError, DimensionError
 from .tensor import Tensor
 
@@ -127,11 +127,8 @@ def predict_slice_mask(model, image: np.ndarray, tile_h: int, tile_w: int,
     Ties in the per-pixel argmax go to the lowest class index; batch norm
     runs in inference mode.
     """
-    h, w = image.shape
-    if tile_h > h or tile_w > w:
-        raise ConfigError(f"tile {tile_h}x{tile_w} larger than slice {h}x{w}")
-    hc, wc = (h // tile_h) * tile_h, (w // tile_w) * tile_w
-    origins = [(r, c) for r in range(0, hc, tile_h) for c in range(0, wc, tile_w)]
+    origins = tile_origins(*image.shape, TileConfig(tile_h, tile_w, overlap_fraction=0.0))
+    hc, wc = origins[-1][0] + tile_h, origins[-1][1] + tile_w
     tiles = np.stack([image[r : r + tile_h, c : c + tile_w] for r, c in origins])
     tiles = tiles[..., None].astype(model.dtype, copy=False)  # T x th x tw x 1
 

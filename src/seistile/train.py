@@ -6,7 +6,6 @@ the binary checkpoint container.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import time
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TileSet
+from .data import TileSet, atomic_open
 from .errors import ConfigError, CorruptionError, DivergenceError, FormatError, ParseError, TopologyError
 from .layers import softmax_cross_entropy
 from .metrics import iou_per_class, miou_image, mmiou, predict_slice_mask
@@ -36,6 +35,10 @@ __all__ = [
 ]
 
 DEFAULT_LR_SCHEDULE = ((0, 0.01), (50, 0.001), (100, 5e-4), (150, 1e-5))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -63,10 +66,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for entry in self.lr_schedule:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and _is_int(entry[0])
+                    and (_is_int(entry[1]) or isinstance(entry[1], float))):
+                raise ConfigError(f"lr_schedule entry {entry!r} is not an [epoch, rate] pair")
         thresholds = [e for e, _ in self.lr_schedule]
         if thresholds != sorted(set(thresholds)):
             raise ConfigError("lr schedule epochs must be strictly increasing")
-        if any(lr <= 0 for _, lr in self.lr_schedule):
+        if not all(lr > 0 for _, lr in self.lr_schedule):  # NaN fails too
             raise ConfigError("learning rates must be positive")
         if self.batch_size < 1 or self.max_epochs < 1 or self.eval_every < 1:
             raise ConfigError("batch_size, max_epochs and eval_every must be >= 1")
@@ -155,9 +162,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     header, then raw little-endian f32 blobs. Learnable parameters come
     first so their section length is exactly 4 * count_parameters.
 
-    The file is written under a temporary name in the target's directory and
-    then renamed over the target, so a failed write leaves the previous file
-    as it was."""
+    The file is written through ``atomic_open``, so a failed write leaves the
+    previous file as it was."""
     directory = []
     blobs = []
     offset = 0
@@ -174,19 +180,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "val_miou": None if np.isnan(ckpt.val_miou) else ckpt.val_miou,
         "tensors": directory,
     }).encode()
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            for blob in blobs:
-                fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(CKPT_MAGIC)
+        fh.write(struct.pack("<I", len(header)))
+        fh.write(header)
+        for blob in blobs:
+            fh.write(blob)
 
 
 def load_checkpoint(path) -> Checkpoint:

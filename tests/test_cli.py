@@ -1,6 +1,9 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from seistile.cli import main
 from seistile.data import TileSet, load_masks, load_segv, load_volume
@@ -206,3 +209,159 @@ def test_checkpoint_tensor_of_the_wrong_shape_exits_2_for_eval(tmp_path, capsys)
     save_checkpoint(ckpt, bad)
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
     assert "layer0.conv.kernel" in capsys.readouterr().err
+
+
+# Each value the config walk rejects, with the key its message must name.
+MALFORMED = [
+    ("train.batch_size", "abc", "train.batch_size"),
+    ("train.batch_size", "null", "train.batch_size"),
+    ("train.batch_size", "8.5", "train.batch_size"),
+    ("train.batch_size", "true", "train.batch_size"),
+    ("train.batch_size", '"8"', "train.batch_size"),
+    ("train.lr_schedule", "5", "train.lr_schedule"),
+    ("split.n_blocks", "abc", "split.n_blocks"),
+    ("split.test_slices", "3", "split.test_slices"),
+    ("data.clip_lo_pct", "x", "data.clip_lo_pct"),
+    ("optimizer.decay", "false", "optimizer.decay"),
+    ("model.width_scale", "null", "model.width_scale"),
+    ("model.bn_eps", "NaN", "model.bn_eps"),
+    ("seed.x", "1", "seed"),
+    ("train", "1", "train"),
+]
+
+
+def _nested(dotted, value):
+    *sections, leaf = dotted.split(".")
+    doc = {leaf: value}
+    for key in reversed(sections):
+        doc = {key: doc}
+    return doc
+
+
+@pytest.mark.parametrize("source", ["file", "--set"])
+@pytest.mark.parametrize("dotted, raw, named", MALFORMED)
+def test_malformed_config_value_exits_1_naming_its_key(tmp_path, monkeypatch, capsys,
+                                                       source, dotted, raw, named):
+    monkeypatch.chdir(tmp_path)  # a value let through would make synth write here
+    if source == "file":
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        (tmp_path / "bad.json").write_text(json.dumps(_nested(dotted, value)))
+        argv = ["synth", "--config", "bad.json"]
+    else:
+        argv = ["synth", "--set", f"{dotted}={raw}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {named} must be" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == ([tmp_path / "bad.json"] if source == "file" else [])
+
+
+def _tiny_checkpoint(path, seed=0):
+    """A 7-class checkpoint of total stride 2 for eval and export-masks."""
+    save_checkpoint(checkpoint_from_model(build_model(parse_topology("c3 s2 4\ntc3 s2 4\nout 7"), seed=seed)), path)
+    return path
+
+
+def _prepared_with_tiny_checkpoint(tmp_path):
+    """synth + prepare on a 48x72 volume with test slice 9 and 24x24 evaluation tiles."""
+    cfg = desk_config(tmp_path, **{"synth.width": 72, "split.test_slices": [9],
+                                   "split.test_count": None, "eval.tile_w": 24})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    return cfg, _tiny_checkpoint(tmp_path / "tiny.ckpt")
+
+
+def test_eval_tile_size_below_one_exits_1(tmp_path, capsys):
+    cfg, ckpt = _prepared_with_tiny_checkpoint(tmp_path)
+    capsys.readouterr()
+    for tile_h in ("0", "-8"):  # no stride, so no tile grid
+        for command in ("eval", "export-masks"):
+            assert main([command, "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--set", f"eval.tile_h={tile_h}"]) == 1
+            assert f"tile_h={tile_h}" in capsys.readouterr().err
+
+
+def test_model_section_value_out_of_range_exits_1(tmp_path, capsys):
+    cfg = desk_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    for assignment, words in (("model.bn_eps=0", "eps must be > 0"),
+                              ("model.bn_momentum=1.5", "momentum must lie in (0, 1)"),
+                              ("model.width_scale=0", "model.width_scale must be > 0"),
+                              ("model.width_scale=-1", "model.width_scale must be > 0")):
+        assert main(["train", "--config", str(cfg), "--set", assignment]) == 1
+        assert words in capsys.readouterr().err
+    assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+
+def test_null_test_count_without_test_slices_exits_1(tmp_path, capsys):
+    cfg = desk_config(tmp_path, **{"split.test_count": None})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["prepare", "--config", str(cfg)]) == 1
+    assert "split.test_count is null" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"train": [1]}', '{"train": [0], "val": [1], "test": [99]}',
+                                  '{"train": [0], "val": ["1"], "test": []}', "[1, 2]"])
+def test_malformed_split_json_exits_2(tmp_path, capsys, text):
+    cfg, ckpt = _prepared_with_tiny_checkpoint(tmp_path)
+    (tmp_path / "out" / "split.json").write_text(text)
+    capsys.readouterr()
+    for argv in (["train"], ["eval", "--checkpoint", str(ckpt)], ["export-masks", "--checkpoint", str(ckpt)]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "split.json: malformed split" in capsys.readouterr().err
+
+
+def test_failed_report_write_keeps_the_previous_report(tmp_path, failing_writes):
+    cfg, ckpt = _prepared_with_tiny_checkpoint(tmp_path)
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 0
+    out = tmp_path / "out"
+    previous = {name: (out / name).read_bytes() for name in ("report.json", "report.csv")}
+    other = _tiny_checkpoint(tmp_path / "other.ckpt", seed=1)
+    names = sorted(p.name for p in out.iterdir())
+
+    failing_writes(1)
+    with pytest.raises(OSError, match="no space"):
+        main(["eval", "--config", str(cfg), "--checkpoint", str(other)])
+    assert {name: (out / name).read_bytes() for name in previous} == previous
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _quick_start_commands():
+    """The `seistile` lines of the bash block under "Quick start (CLI)"."""
+    section = README.read_text().split("## Quick start (CLI)", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("seistile ")]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _quick_start_commands()
+    assert [argv[0] for argv in commands] == ["config", "synth", "prepare", "train", "eval", "export-masks"]
+    for argv in commands:
+        redirect = None
+        if ">" in argv:
+            argv, redirect = argv[: argv.index(">")], argv[argv.index(">") + 1]
+        if argv[0] == "train":
+            argv = argv + ["--set", "train.max_epochs=1"]  # one epoch proves the syntax
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        if redirect is not None:
+            (tmp_path / redirect).write_text(captured.out)
+        else:
+            assert "config sha256=" in captured.err
+    run = tmp_path / "run"
+    for name in ("volume_proc.segv", "masks_merged.segv", "split.json", "tiles_train.json",
+                 "tiles_val.json", "checkpoint.ckpt", "report.json", "report.csv"):
+        assert (run / name).is_file(), name
+    assert len((run / "log.csv").read_text().splitlines()) == 2  # header and one epoch
+    test = json.loads((run / "split.json").read_text())["test"]
+    assert [image["index"] for image in json.loads((run / "report.json").read_text())["images"]] == test
+    assert len(list((run / "masks").glob("*.pgm"))) == 2 * len(test)

@@ -60,3 +60,18 @@ def test_digest_stable_and_sensitive():
     assert config_digest(a) == config_digest(b)
     c = apply_overrides(a, ["seed=1"])
     assert config_digest(a) != config_digest(c)
+
+
+def test_value_types_come_from_the_defaults():
+    cfg = resolve_config({"optimizer": {"epsilon": 1}, "model": {"dsl_path": "net.dsl"},
+                          "split": {"test_count": None, "test_slices": [2, 5]}})
+    assert type(cfg["optimizer"]["epsilon"]) is int  # kept as given, so digests do not move
+    # the config merged into holds an int; the float default still admits a float
+    out = apply_overrides(cfg, ["optimizer.epsilon=0.5", "split.slice_limit=null", "seed=4", "seed=5"])
+    assert out["optimizer"]["epsilon"] == 0.5
+    assert out["split"]["slice_limit"] is None
+    assert out["seed"] == 5  # a later override wins
+    with pytest.raises(ConfigError, match="split.slice_limit must be an integer or null"):
+        apply_overrides(cfg, ["split.slice_limit=2.0"])
+    with pytest.raises(ConfigError, match="optimizer.epsilon must be a finite number"):
+        apply_overrides(cfg, ["optimizer.epsilon=Infinity"])

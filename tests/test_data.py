@@ -71,6 +71,16 @@ def test_segv_rejects_other_dtypes(tmp_path, dtype):
         save_segv(tmp_path / "v.segv", np.zeros((1, 2, 2), dtype=dtype))
 
 
+def test_failed_segv_write_keeps_the_previous_file(tmp_path, failing_writes):
+    path = tmp_path / "v.segv"
+    save_volume(path, Volume(data=np.zeros((2, 3, 4), dtype=np.float32), meta={"n": 1}))
+    previous = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    failing_writes(2)  # the header is out, the payload fails
+    with pytest.raises(OSError, match="no space"):
+        save_volume(path, Volume(data=np.ones((2, 3, 4), dtype=np.float32), meta={"n": 2}))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == previous
+
+
 def test_segv_bad_magic(tmp_path):
     path = tmp_path / "bad.segv"
     path.write_bytes(b"NOTSEGV" + b"\x00" * 32)
@@ -167,6 +177,12 @@ def test_rescale_is_monotone():
     assert out.data.min() >= 0.0 and out.data.max() <= 255.0
 
 
+def test_rescale_records_percentiles_as_floats():
+    out = preprocess_rescale(Volume(data=np.arange(8, dtype=np.float32).reshape(2, 2, 2)), 1, 99)
+    assert json.dumps(out.meta["rescaled"]["clip_lo_pct"]) == "1.0"
+    assert json.dumps(out.meta["rescaled"]["clip_hi_pct"]) == "99.0"
+
+
 def test_rescale_rejects_bad_percentiles():
     with pytest.raises(ConfigError):
         preprocess_rescale(Volume(data=np.zeros((1, 2, 2), dtype=np.float32)), 99.0, 1.0)
@@ -217,6 +233,13 @@ def test_split_slice_limit_total_count_property():
 def test_split_limit_too_large_is_config_error():
     with pytest.raises(ConfigError):
         split_blocks(10, SplitConfig(n_blocks=2, slice_limit=8))
+
+
+@pytest.mark.parametrize("bad", ["3", 3.0, True])
+def test_split_test_slices_must_be_integers(bad):
+    assert SplitConfig(test_slices=(np.int64(3), 4)).test_slices[0] == 3
+    with pytest.raises(ConfigError, match="not an integer"):
+        SplitConfig(test_slices=(1, bad))
 
 
 def test_default_test_slices_even_spacing():

@@ -170,6 +170,12 @@ def test_train_config_validation():
         TrainConfig(lr_schedule=((0, -0.1),))
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ConfigError):
+        TrainConfig(lr_schedule=((0, float("nan")),))
+    for entry in ((0,), (0, "0.1"), (0.5, 0.1), (True, 0.1), (0, None), 5):
+        with pytest.raises(ConfigError, match="not an \\[epoch, rate\\] pair"):
+            TrainConfig(lr_schedule=(entry,))
+    assert TrainConfig(lr_schedule=[[0, 1], [5, 0.5]]).lr_schedule == [[0, 1], [5, 0.5]]
 
 
 # -------------------------------------------------------------- checkpoints
@@ -283,32 +289,13 @@ def test_checkpoint_with_optimizer_sections_still_loads(tmp_path):
         load_checkpoint(legacy_path)
 
 
-class _FailsAfterHeader:
-    """A file whose writes fail once magic, header length and header are out."""
-
-    def __init__(self, fh):
-        self.fh, self.writes = fh, 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.writes += 1
-        if self.writes > 3:
-            raise OSError("no space left on device")
-        return self.fh.write(data)
-
-
-def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, failing_writes):
     spec = parse_topology(TINY_DSL, name="tiny")
     path = tmp_path / "checkpoint.ckpt"
     save_checkpoint(checkpoint_from_model(build_model(spec, seed=0, dtype=np.float32)), path)
     previous = path.read_bytes()
 
-    monkeypatch.setattr(train_mod, "open", lambda *a, **k: _FailsAfterHeader(open(*a, **k)), raising=False)
+    failing_writes(4)  # magic, header length and header are out
     with pytest.raises(OSError, match="no space"):
         save_checkpoint(checkpoint_from_model(build_model(spec, seed=1, dtype=np.float32)), path)
     assert path.read_bytes() == previous
