@@ -49,9 +49,10 @@ SEED_SYNTH, SEED_SPLIT, SEED_BUILD, SEED_SHUFFLE = 0, 1, 2, 3
 
 def _resolved(args) -> dict:
     cfg = load_config(args.config) if getattr(args, "config", None) else resolve_config()
-    cfg = apply_overrides(cfg, getattr(args, "set", None))
+    overrides = list(getattr(args, "set", None) or ())
     if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
+        overrides.append(f"seed={args.seed}")  # checked as --set seed=N is
+    cfg = apply_overrides(cfg, overrides)
     if getattr(args, "out_dir", None):
         cfg["data"]["out_dir"] = args.out_dir
     return cfg
@@ -339,8 +340,8 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, TopologyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except FileNotFoundError as err:
-        print(f"error: missing file: {err}", file=sys.stderr)
+    except OSError as err:  # a path that is missing, a directory, unreadable, ...; str names it
+        print(f"error: {err}", file=sys.stderr)
         return 2
     except (FormatError, LabelError) as err:
         print(f"error: {err}", file=sys.stderr)

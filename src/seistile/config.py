@@ -72,6 +72,8 @@ def _check(where: str, default, value) -> None:
             or isinstance(value, float) and not math.isfinite(value)):  # json reads NaN and Infinity
         null = " or null" if where in _NULLABLE else ""
         raise ConfigError(f"{where} must be {name}{null}, got {json.dumps(value, default=repr)}")
+    if where == "seed" and value < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"seed must be >= 0, got {value}")
 
 
 def _merge(base: dict, override: dict, path: str = "", defaults: dict = DEFAULTS) -> dict:

@@ -5,10 +5,13 @@ each tile's mask, unite the predictions, then score the reassembled mask
 against ground truth on the covered region (the residual border that does
 not fit a whole tile is excluded rather than padded).
 
-Slices are predicted on a thread pool. While it runs, the OpenBLAS numpy
-loaded is held at one thread, so each worker's GEMMs stay on its own core
-and one slice's im2col copies, batch norm and ReLU overlap another slice's
-GEMMs instead of competing with BLAS's own threads.
+One thread pool serves both levels of the work: `evaluate_testset` maps its
+slices through it, and `predict_slice_mask` called on its own maps its tile
+batches through it. While it runs, the OpenBLAS numpy loaded is held at one
+thread, so each worker's GEMMs stay on its own core and one batch's im2col
+copies, batch norm and ReLU overlap another batch's GEMMs instead of
+competing with BLAS's own threads. A worker that reaches the pool again runs
+its items inline, so pools never nest.
 """
 
 from __future__ import annotations
@@ -119,26 +122,52 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
+_POOL_WORKER = threading.local()
+
+
+def _mark_pool_worker():
+    _POOL_WORKER.active = True
+
+
+def _pool_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, in order, on ``min(worker_count(), len(items))``
+    threads with OpenBLAS held at one thread.
+
+    It runs inline for one worker or one item, and on a thread that is
+    already one of its workers, so there is never a nested pool.
+    """
+    workers = min(worker_count(), len(items))
+    if workers <= 1 or getattr(_POOL_WORKER, "active", False):
+        return [fn(x) for x in items]
+    # pool shutdown waits for every worker before the BLAS count returns
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_worker) as pool:
+        return list(pool.map(fn, items))
+
+
 def predict_slice_mask(model, image: np.ndarray, tile_h: int, tile_w: int,
                        batch_size: int = 16) -> np.ndarray:
     """Reassembled class mask for one slice, u8, covering
     floor(H/tile_h)*tile_h x floor(W/tile_w)*tile_w pixels.
 
-    Ties in the per-pixel argmax go to the lowest class index; batch norm
-    runs in inference mode.
+    The T tiles run in ceil(T / batch_size) batches whose sizes differ by at
+    most one, so the batches depend on T and ``batch_size`` alone, never on
+    the thread count. Ties in the per-pixel argmax go to the lowest class
+    index; batch norm runs in inference mode.
     """
     origins = tile_origins(*image.shape, TileConfig(tile_h, tile_w, overlap_fraction=0.0))
     hc, wc = origins[-1][0] + tile_h, origins[-1][1] + tile_w
     tiles = np.stack([image[r : r + tile_h, c : c + tile_w] for r, c in origins])
     tiles = tiles[..., None].astype(model.dtype, copy=False)  # T x th x tw x 1
 
-    out = np.zeros((hc, wc), dtype=np.uint8)
-    for start in range(0, len(origins), batch_size):
-        batch = tiles[start : start + batch_size]
+    def classify(batch):
         logits = model.forward(Tensor(batch), train=False).data
-        classes = np.argmax(logits, axis=3).astype(np.uint8)
-        for (r, c), tile_mask in zip(origins[start : start + batch_size], classes):
-            out[r : r + tile_h, c : c + tile_w] = tile_mask
+        return np.argmax(logits, axis=3).astype(np.uint8)
+
+    batches = np.array_split(tiles, -(-len(tiles) // batch_size))
+    classes = np.concatenate(_pool_map(classify, batches))
+    out = np.zeros((hc, wc), dtype=np.uint8)
+    for (r, c), tile_mask in zip(origins, classes):
+        out[r : r + tile_h, c : c + tile_w] = tile_mask
     return out
 
 
@@ -209,8 +238,9 @@ def evaluate_testset(model, volume: Volume, masks: MaskVolume, test_indices,
                      tile_h: int, tile_w: int) -> SegmentationReport:
     """Run the reassembly protocol over the given slices.
 
-    Per-image metrics are computed on the covered region only; images may be
-    predicted in parallel but are always aggregated in ascending index order.
+    Per-image metrics are computed on the covered region only; images are
+    predicted on the evaluation pool, one slice per worker, and always
+    aggregated in ascending index order.
     """
     test_indices = sorted(int(i) for i in test_indices)
     if not test_indices:
@@ -227,14 +257,7 @@ def evaluate_testset(model, volume: Volume, masks: MaskVolume, test_indices,
         ious = iou_per_class(pred, gt, num_classes)
         return ImageResult(index=i, ious=ious, miou=miou_image(ious)), confusion_matrix(pred, gt, num_classes)
 
-    workers = min(worker_count(), len(test_indices))
-    if workers > 1:
-        # pool shutdown waits for every worker before the BLAS count returns
-        with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, test_indices))
-    else:
-        results = [one(i) for i in test_indices]
-
+    results = _pool_map(one, test_indices)
     images = [r for r, _ in results]
     confusion = np.sum([c for _, c in results], axis=0)
     per_class = np.stack([r.ious for r in images]).mean(axis=0)

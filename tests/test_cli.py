@@ -225,6 +225,7 @@ MALFORMED = [
     ("optimizer.decay", "false", "optimizer.decay"),
     ("model.width_scale", "null", "model.width_scale"),
     ("model.bn_eps", "NaN", "model.bn_eps"),
+    ("seed", "-5", "seed"),
     ("seed.x", "1", "seed"),
     ("train", "1", "train"),
 ]
@@ -259,6 +260,13 @@ def test_malformed_config_value_exits_1_naming_its_key(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == ([tmp_path / "bad.json"] if source == "file" else [])
 
 
+def test_negative_seed_flag_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--seed", "-5"]) == 1
+    assert "error: seed must be >= 0, got -5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _tiny_checkpoint(path, seed=0):
     """A 7-class checkpoint of total stride 2 for eval and export-masks."""
     save_checkpoint(checkpoint_from_model(build_model(parse_topology("c3 s2 4\ntc3 s2 4\nout 7"), seed=seed)), path)
@@ -282,6 +290,20 @@ def test_eval_tile_size_below_one_exits_1(tmp_path, capsys):
             assert main([command, "--config", str(cfg), "--checkpoint", str(ckpt),
                          "--set", f"eval.tile_h={tile_h}"]) == 1
             assert f"tile_h={tile_h}" in capsys.readouterr().err
+
+
+def test_directory_given_as_an_input_file_exits_2_naming_it(tmp_path, capsys):
+    cfg, ckpt = _prepared_with_tiny_checkpoint(tmp_path)
+    folder = tmp_path / "a_directory"
+    folder.mkdir()
+    capsys.readouterr()
+    for argv in (["prepare", "--set", f"data.volume={folder}"],
+                 ["eval", "--checkpoint", str(folder)],
+                 ["export-masks", "--checkpoint", str(folder)]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(folder) in err
+        assert "Traceback" not in err
 
 
 def test_model_section_value_out_of_range_exits_1(tmp_path, capsys):
@@ -316,7 +338,7 @@ def test_malformed_split_json_exits_2(tmp_path, capsys, text):
         assert "split.json: malformed split" in capsys.readouterr().err
 
 
-def test_failed_report_write_keeps_the_previous_report(tmp_path, failing_writes):
+def test_failed_report_write_keeps_the_previous_report(tmp_path, capsys, failing_writes):
     cfg, ckpt = _prepared_with_tiny_checkpoint(tmp_path)
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 0
     out = tmp_path / "out"
@@ -325,8 +347,9 @@ def test_failed_report_write_keeps_the_previous_report(tmp_path, failing_writes)
     names = sorted(p.name for p in out.iterdir())
 
     failing_writes(1)
-    with pytest.raises(OSError, match="no space"):
-        main(["eval", "--config", str(cfg), "--checkpoint", str(other)])
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(other)]) == 2
+    assert "no space" in capsys.readouterr().err
     assert {name: (out / name).read_bytes() for name in previous} == previous
     assert sorted(p.name for p in out.iterdir()) == names
 

@@ -156,9 +156,10 @@ def test_predict_covered_region_dims():
     assert pred.shape == (480, 1440)
 
 
-def test_predict_tiles_disjoint_and_exhaustive():
+def test_predict_tiles_disjoint_and_exhaustive(monkeypatch):
     # a model that stamps a running tile counter proves each covered pixel
-    # is written exactly once
+    # is written exactly once; the counter needs the batches in order
+    monkeypatch.setenv("SEISTILE_THREADS", "1")
     class StampModel:
         dtype = np.float64
         count = 0
@@ -175,6 +176,38 @@ def test_predict_tiles_disjoint_and_exhaustive():
     want = np.block([[np.full((20, 20), 0), np.full((20, 20), 1), np.full((20, 20), 2)],
                      [np.full((20, 20), 3), np.full((20, 20), 4), np.full((20, 20), 5)]])
     np.testing.assert_array_equal(pred, want)
+
+
+def test_pooled_predict_puts_each_tile_at_its_origin(monkeypatch):
+    # each tile carries its own index as its pixel value, so the check
+    # holds whatever order the pooled batches run in
+    monkeypatch.setenv("SEISTILE_THREADS", "2")
+    want = np.block([[np.full((20, 20), 3 * row + col) for col in range(3)] for row in range(2)])
+    pred = predict_slice_mask(OracleModel(), want.astype(np.float64), 20, 20, batch_size=2)
+    np.testing.assert_array_equal(pred, want)
+
+
+class BatchRecordingModel(ConstantModel):
+    """ConstantModel that notes (on the main thread, batch size, BLAS thread
+    count or None) per forward."""
+
+    def __init__(self, blas_threads=None):
+        super().__init__()
+        self.seen = []
+        self.blas_threads = blas_threads
+
+    def forward(self, x, train=False):
+        on_main = threading.current_thread() is threading.main_thread()
+        self.seen.append((on_main, x.data.shape[0], self.blas_threads and self.blas_threads()))
+        return super().forward(x, train)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_predict_splits_tiles_into_even_batches(monkeypatch, threads):
+    monkeypatch.setenv("SEISTILE_THREADS", threads)
+    model = BatchRecordingModel()
+    predict_slice_mask(model, np.zeros((40, 180)), 20, 20, batch_size=16)  # 18 tiles
+    assert [size for _, size, _ in model.seen] == [9, 9]
 
 
 def test_predict_is_deterministic():
@@ -236,6 +269,22 @@ def test_evaluate_parallel_matches_serial(monkeypatch):
     np.testing.assert_array_equal(serial.confusion, parallel.confusion)
 
 
+def test_evaluation_builds_one_pool_for_slices_and_tile_batches(monkeypatch):
+    oracle_vol, masks = _synthetic_eval_setup()
+    monkeypatch.setenv("SEISTILE_THREADS", "2")
+    built = []
+
+    class CountingPool(metrics_mod.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(threading.current_thread() is threading.main_thread())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_mod, "ThreadPoolExecutor", CountingPool)
+    report = evaluate_testset(OracleModel(), oracle_vol, masks, [0, 1, 2, 3], 10, 10)  # 48 tiles a slice
+    assert built == [True]
+    assert report.mmiou == 1.0
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SEISTILE_THREADS", "5")
     assert worker_count() == 5
@@ -295,6 +344,13 @@ def test_pooled_evaluation_runs_blas_single_threaded_then_restores(blas_threads,
     seen = _recording_blas_threads(monkeypatch, blas_threads)
     evaluate_testset(OracleModel(), oracle_vol, masks, [0, 1, 2, 3], 30, 40)
     assert seen == [(False, 1)] * 4
+    assert blas_threads() == 2
+
+
+def test_predict_alone_runs_batches_on_workers_at_one_blas_thread_then_restores(blas_threads):
+    model = BatchRecordingModel(blas_threads)
+    predict_slice_mask(model, np.zeros((40, 180)), 20, 20, batch_size=16)
+    assert model.seen == [(False, 9, 1)] * 2
     assert blas_threads() == 2
 
 
@@ -371,9 +427,11 @@ def test_real_model_evaluation_is_bitwise_independent_of_the_thread_count(monkey
     model = build_model(spec, seed=4, dtype=np.float32)
     inner = metrics_mod.predict_slice_mask
     slice_at = {volume.slice(i).ctypes.data: i for i in range(3)}
-    runs = []
+    runs, alone = [], []
     for threads in ("1", "2"):
         monkeypatch.setenv("SEISTILE_THREADS", threads)
+        # four tiles a slice in two batches, which run on the pool under 2 workers
+        alone.append([inner(model, volume.slice(i), 24, 32, batch_size=2) for i in range(3)])
         predicted = {}
 
         def keeping(model, image, *args, **kwargs):
@@ -389,6 +447,8 @@ def test_real_model_evaluation_is_bitwise_independent_of_the_thread_count(monkey
         np.testing.assert_array_equal(serial_masks[i], pooled_masks[i])
     np.testing.assert_array_equal(serial.confusion, pooled.confusion)
     assert serial.mmiou == pooled.mmiou
+    for serial_mask, pooled_mask in zip(*alone):
+        np.testing.assert_array_equal(serial_mask, pooled_mask)
 
 
 # ------------------------------------------------------------------- reports
