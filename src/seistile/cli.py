@@ -32,7 +32,7 @@ from .errors import (
     SeistileError,
     TopologyError,
 )
-from .metrics import evaluate_testset, export_mask_pgm, report_to_csv, report_to_json
+from .metrics import evaluate_testset, export_mask_pgm, predict_slice_masks, report_to_csv, report_to_json
 from .network import build_model
 from .train import (
     OptimizerConfig,
@@ -268,14 +268,13 @@ def cmd_export_masks(args) -> int:
     model = restore_model(load_checkpoint(ckpt_path))
     mask_dir = out / "masks"
     mask_dir.mkdir(exist_ok=True)
-    from .metrics import predict_slice_mask
-
     indices = split["test"] or split["val"]
-    for i in indices:
-        pred = predict_slice_mask(model, volume.slice(i), cfg["eval"]["tile_h"], cfg["eval"]["tile_w"])
+    preds = predict_slice_masks(model, [volume.slice(i) for i in indices],
+                                cfg["eval"]["tile_h"], cfg["eval"]["tile_w"])
+    for i, pred in zip(indices, preds):
         export_mask_pgm(mask_dir / f"pred_{i:04d}.pgm", pred, masks.num_classes)
-        hc, wc = pred.shape
-        export_mask_pgm(mask_dir / f"gt_{i:04d}.pgm", masks.slice(i)[:hc, :wc], masks.num_classes)
+        gt = masks.slice(i)[: pred.shape[0], : pred.shape[1]]
+        export_mask_pgm(mask_dir / f"gt_{i:04d}.pgm", gt, masks.num_classes)
     print(f"wrote {2 * len(indices)} PGM masks to {mask_dir}")
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -38,7 +39,8 @@ __all__ = [
     "preprocess_rescale",
     "split_blocks",
     "default_test_slices",
-    "tile_slice",
+    "tile_grid",
+    "cut_tiles",
     "tile_volume",
     "merge_classes",
     "generate_synthetic_volume",
@@ -90,8 +92,10 @@ def atomic_open(path, mode: str = "wb"):
         with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         tmp.unlink(missing_ok=True)
+        if isinstance(err, OSError) and err.filename is None:  # a full disk names no file
+            raise OSError(f"cannot write {path}: {err}") from err
         raise
 
 
@@ -137,7 +141,7 @@ def load_segv(path) -> tuple[np.ndarray, dict]:
     shape = tuple(int(e) for e in extents)
     offset += 4 * rank
     dtype = _DTYPES[code]
-    expected = int(np.prod(shape)) * dtype.itemsize
+    expected = math.prod(shape) * dtype.itemsize  # Python ints: huge extents cannot wrap
     payload = blob[offset:]
     if len(payload) != expected:
         raise CorruptionError(
@@ -149,6 +153,8 @@ def load_segv(path) -> tuple[np.ndarray, dict]:
         meta = json.loads(sidecar.read_bytes().decode()) if sidecar.exists() else {}
     except ValueError as err:  # covers JSON and UTF-8 decoding
         raise FormatError(f"{sidecar}: malformed metadata sidecar ({err})") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{sidecar}: metadata sidecar is not a JSON object")
     return np.array(data), meta
 
 
@@ -173,7 +179,9 @@ def load_masks(path) -> MaskVolume:
     data, meta = load_segv(path)
     if data.dtype != np.uint8 or data.ndim != 3:
         raise FormatError(f"{path}: expected a rank-3 u8 mask volume, got {data.dtype} rank {data.ndim}")
-    num_classes = int(meta.get("num_classes", int(data.max()) + 1 if data.size else 1))
+    num_classes = meta.get("num_classes", int(data.max()) + 1 if data.size else 1)
+    if isinstance(num_classes, bool) or not isinstance(num_classes, int) or num_classes < 1:
+        raise FormatError(f"{path}: num_classes {num_classes!r} is not a positive integer")
     if data.size and data.max() >= num_classes:
         raise FormatError(f"{path}: mask value {int(data.max())} >= num_classes {num_classes}")
     return MaskVolume(data=data, num_classes=num_classes)
@@ -391,46 +399,42 @@ class TileSet:
         return cls(images=images, masks=masks, provenance=prov, tile_h=tile_h, tile_w=tile_w)
 
 
-def tile_origins(h: int, w: int, cfg: TileConfig) -> list[tuple[int, int]]:
+def tile_grid(h: int, w: int, cfg: TileConfig) -> tuple[int, int]:
+    """Rows and columns of whole tiles in an h x w slice; partial tiles are dropped."""
     if cfg.tile_h > h or cfg.tile_w > w:
         raise ConfigError(f"tile {cfg.tile_h}x{cfg.tile_w} larger than slice {h}x{w}")
-    rows = range(0, h - cfg.tile_h + 1, cfg.stride_h)
-    cols = range(0, w - cfg.tile_w + 1, cfg.stride_w)
-    return [(r, c) for r in rows for c in cols]
+    return (h - cfg.tile_h) // cfg.stride_h + 1, (w - cfg.tile_w) // cfg.stride_w + 1
+
+
+def tile_origins(h: int, w: int, cfg: TileConfig) -> list[tuple[int, int]]:
+    rows, cols = tile_grid(h, w, cfg)
+    return [(r * cfg.stride_h, c * cfg.stride_w) for r in range(rows) for c in range(cols)]
 
 
 def tile_count(h: int, w: int, cfg: TileConfig) -> int:
-    return ((h - cfg.tile_h) // cfg.stride_h + 1) * ((w - cfg.tile_w) // cfg.stride_w + 1)
+    return math.prod(tile_grid(h, w, cfg))
 
 
-def tile_slice(image: np.ndarray, mask: np.ndarray, cfg: TileConfig, slice_index: int = 0) -> TileSet:
-    """Overlapping sliding-window tiles of one slice, partial tiles dropped."""
-    if image.shape != mask.shape:
-        raise ConfigError(f"image {image.shape} and mask {mask.shape} disagree")
-    origins = tile_origins(image.shape[0], image.shape[1], cfg)
-    images = np.stack([image[r : r + cfg.tile_h, c : c + cfg.tile_w] for r, c in origins]) \
-        if origins else np.zeros((0, cfg.tile_h, cfg.tile_w), dtype=np.float32)
-    masks = np.stack([mask[r : r + cfg.tile_h, c : c + cfg.tile_w] for r, c in origins]) \
-        if origins else np.zeros((0, cfg.tile_h, cfg.tile_w), dtype=np.uint8)
-    prov = np.array([[slice_index, r, c] for r, c in origins], dtype=np.int32).reshape(-1, 3)
-    return TileSet(images=images.astype(np.float32, copy=False),
-                   masks=masks.astype(np.uint8, copy=False),
-                   provenance=prov, tile_h=cfg.tile_h, tile_w=cfg.tile_w)
+def cut_tiles(stack: np.ndarray, cfg: TileConfig) -> np.ndarray:
+    """All whole tiles of a ``... x H x W`` stack as a new N x tile_h x tile_w
+    array: slice by slice, each slice's tiles in ``tile_origins`` order."""
+    tile_grid(*stack.shape[-2:], cfg)
+    windows = np.lib.stride_tricks.sliding_window_view(stack, (cfg.tile_h, cfg.tile_w), axis=(-2, -1))
+    tiles = windows[..., :: cfg.stride_h, :: cfg.stride_w, :, :].copy()  # a reshape alone may return a view
+    return tiles.reshape(-1, cfg.tile_h, cfg.tile_w)
 
 
 def tile_volume(volume: Volume, masks: MaskVolume, slice_indices, cfg: TileConfig) -> TileSet:
-    """Tiles of the given slices, in (slice, row, col) order."""
-    parts = [tile_slice(volume.slice(i), masks.slice(i), cfg, slice_index=i)
-             for i in sorted(slice_indices)]
-    if not parts:
-        return TileSet(images=np.zeros((0, cfg.tile_h, cfg.tile_w), dtype=np.float32),
-                       masks=np.zeros((0, cfg.tile_h, cfg.tile_w), dtype=np.uint8),
-                       provenance=np.zeros((0, 3), dtype=np.int32),
-                       tile_h=cfg.tile_h, tile_w=cfg.tile_w)
-    return TileSet(images=np.concatenate([p.images for p in parts]),
-                   masks=np.concatenate([p.masks for p in parts]),
-                   provenance=np.concatenate([p.provenance for p in parts]),
-                   tile_h=cfg.tile_h, tile_w=cfg.tile_w)
+    """Overlapping tiles of the given slices, in (slice, row, col) order."""
+    if volume.data.shape[1:] != masks.data.shape[1:]:
+        raise ConfigError(f"volume slices {volume.data.shape[1:]} and mask slices {masks.data.shape[1:]} disagree")
+    indices = sorted(slice_indices)
+    origins = np.array(tile_origins(*volume.data.shape[1:], cfg), dtype=np.int32)
+    prov = np.column_stack([np.repeat(np.array(indices, dtype=np.int32), len(origins)),
+                            np.tile(origins, (len(indices), 1))])
+    return TileSet(images=cut_tiles(volume.data[indices], cfg).astype(np.float32, copy=False),
+                   masks=cut_tiles(masks.data[indices], cfg).astype(np.uint8, copy=False),
+                   provenance=prov, tile_h=cfg.tile_h, tile_w=cfg.tile_w)
 
 
 # ----------------------------------------------------------- class merging

@@ -5,13 +5,13 @@ each tile's mask, unite the predictions, then score the reassembled mask
 against ground truth on the covered region (the residual border that does
 not fit a whole tile is excluded rather than padded).
 
-One thread pool serves both levels of the work: `evaluate_testset` maps its
-slices through it, and `predict_slice_mask` called on its own maps its tile
-batches through it. While it runs, the OpenBLAS numpy loaded is held at one
-thread, so each worker's GEMMs stay on its own core and one batch's im2col
-copies, batch norm and ReLU overlap another batch's GEMMs instead of
-competing with BLAS's own threads. A worker that reaches the pool again runs
-its items inline, so pools never nest.
+One thread pool serves both levels of the work: evaluation, validation and
+export-masks predict one slice per worker through `predict_slice_masks`, and
+`predict_slice_mask` called on its own maps its tile batches through it.
+While it runs, the OpenBLAS numpy loaded is held at one thread, so each
+worker's GEMMs stay on its own core and one batch's im2col copies, batch
+norm and ReLU overlap another batch's GEMMs instead of competing with BLAS's
+own threads. A worker that reaches the pool again runs its items inline.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MaskVolume, TileConfig, Volume, tile_origins, write_pgm
+from .data import MaskVolume, TileConfig, Volume, cut_tiles, tile_grid, write_pgm
 from .errors import ConfigError, ContractError, DimensionError
 from .tensor import Tensor
 
 __all__ = [
     "worker_count",
     "predict_slice_mask",
+    "predict_slice_masks",
     "iou_per_class",
     "miou_image",
     "mmiou",
@@ -154,10 +155,9 @@ def predict_slice_mask(model, image: np.ndarray, tile_h: int, tile_w: int,
     the thread count. Ties in the per-pixel argmax go to the lowest class
     index; batch norm runs in inference mode.
     """
-    origins = tile_origins(*image.shape, TileConfig(tile_h, tile_w, overlap_fraction=0.0))
-    hc, wc = origins[-1][0] + tile_h, origins[-1][1] + tile_w
-    tiles = np.stack([image[r : r + tile_h, c : c + tile_w] for r, c in origins])
-    tiles = tiles[..., None].astype(model.dtype, copy=False)  # T x th x tw x 1
+    cfg = TileConfig(tile_h, tile_w, overlap_fraction=0.0)
+    rows, cols = tile_grid(*image.shape, cfg)
+    tiles = cut_tiles(image, cfg)[..., None].astype(model.dtype, copy=False)  # T x th x tw x 1
 
     def classify(batch):
         logits = model.forward(Tensor(batch), train=False).data
@@ -165,10 +165,12 @@ def predict_slice_mask(model, image: np.ndarray, tile_h: int, tile_w: int,
 
     batches = np.array_split(tiles, -(-len(tiles) // batch_size))
     classes = np.concatenate(_pool_map(classify, batches))
-    out = np.zeros((hc, wc), dtype=np.uint8)
-    for (r, c), tile_mask in zip(origins, classes):
-        out[r : r + tile_h, c : c + tile_w] = tile_mask
-    return out
+    return classes.reshape(rows, cols, tile_h, tile_w).swapaxes(1, 2).reshape(rows * tile_h, cols * tile_w)
+
+
+def predict_slice_masks(model, images, tile_h: int, tile_w: int) -> list[np.ndarray]:
+    """``predict_slice_mask`` of each image, in order, one image per pool worker."""
+    return _pool_map(lambda image: predict_slice_mask(model, image, tile_h, tile_w), images)
 
 
 def iou_per_class(pred: np.ndarray, gt: np.ndarray, num_classes: int = 7) -> np.ndarray:
@@ -249,26 +251,19 @@ def evaluate_testset(model, volume: Volume, masks: MaskVolume, test_indices,
         if not 0 <= i < volume.num_slices:
             raise ConfigError(f"test slice {i} outside volume with {volume.num_slices} slices")
     num_classes = masks.num_classes
-
-    def one(i: int):
-        pred = predict_slice_mask(model, volume.slice(i), tile_h, tile_w)
-        hc, wc = pred.shape
-        gt = masks.slice(i)[:hc, :wc]
+    preds = predict_slice_masks(model, [volume.slice(i) for i in test_indices], tile_h, tile_w)
+    images, confusion = [], np.zeros((num_classes, num_classes), dtype=np.int64)
+    for i, pred in zip(test_indices, preds):
+        gt = masks.slice(i)[: pred.shape[0], : pred.shape[1]]
         ious = iou_per_class(pred, gt, num_classes)
-        return ImageResult(index=i, ious=ious, miou=miou_image(ious)), confusion_matrix(pred, gt, num_classes)
-
-    results = _pool_map(one, test_indices)
-    images = [r for r, _ in results]
-    confusion = np.sum([c for _, c in results], axis=0)
-    per_class = np.stack([r.ious for r in images]).mean(axis=0)
-    h, w = volume.data.shape[1:]
+        images.append(ImageResult(index=i, ious=ious, miou=miou_image(ious)))
+        confusion += confusion_matrix(pred, gt, num_classes)
     return SegmentationReport(
         images=images,
         mmiou=mmiou([r.miou for r in images]),
-        per_class_mean=per_class,
+        per_class_mean=np.stack([r.ious for r in images]).mean(axis=0),
         confusion=confusion,
-        coverage_h=(h // tile_h) * tile_h,
-        coverage_w=(w // tile_w) * tile_w,
+        coverage_h=preds[0].shape[0], coverage_w=preds[0].shape[1],  # every slice has one shape
         num_classes=num_classes,
         tile_h=tile_h,
         tile_w=tile_w,

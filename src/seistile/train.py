@@ -16,7 +16,8 @@ import numpy as np
 from .data import TileSet, atomic_open
 from .errors import ConfigError, CorruptionError, DivergenceError, FormatError, ParseError, TopologyError
 from .layers import softmax_cross_entropy
-from .metrics import iou_per_class, miou_image, mmiou, predict_slice_mask
+# predict_slice_mask is not called here; the name stays because bench/spans.py patches it in this module
+from .metrics import iou_per_class, miou_image, mmiou, predict_slice_mask, predict_slice_masks
 from .network import Model, build_model
 from .tensor import Tensor, backward, recording
 from .topology import parse_topology
@@ -267,11 +268,11 @@ def _batch_tensors(tiles: TileSet, idx: np.ndarray, dtype) -> tuple[Tensor, np.n
 
 
 def _validation_miou(model: Model, val_data, tile_h: int, tile_w: int) -> float:
+    """mmIOU of the reassembled validation slices, as ``evaluate_testset`` scores them."""
+    preds = predict_slice_masks(model, [image for image, _ in val_data], tile_h, tile_w)
     per_image = []
-    for image, mask in val_data:
-        pred = predict_slice_mask(model, image, tile_h, tile_w)
-        hc, wc = pred.shape
-        ious = iou_per_class(pred, mask[:hc, :wc], model.num_classes)
+    for pred, (_, mask) in zip(preds, val_data):
+        ious = iou_per_class(pred, mask[: pred.shape[0], : pred.shape[1]], model.num_classes)
         per_image.append(miou_image(ious))
     return mmiou(per_image)
 

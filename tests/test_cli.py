@@ -1,5 +1,6 @@
 import json
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,23 @@ def test_prepare_with_malformed_volume_sidecar_exits_2(tmp_path, capsys):
     assert "vol.segv.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sidecar", ['[1, 2]', '{"num_classes": "seven"}'])
+def test_prepare_with_malformed_mask_sidecar_exits_2(tmp_path, capsys, sidecar):
+    cfg = desk_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    (tmp_path / "m.segv.json").write_text(sidecar)
+    assert main(["prepare", "--config", str(cfg)]) == 2
+    assert "m.segv" in capsys.readouterr().err
+
+
+def test_prepare_with_wrapping_volume_extents_exits_2(tmp_path, capsys):
+    cfg = desk_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    (tmp_path / "vol.segv").write_bytes(b"SEGV1\n" + bytes([0, 4]) + struct.pack("<4I", *[65536] * 4))
+    assert main(["prepare", "--config", str(cfg)]) == 2
+    assert "payload" in capsys.readouterr().err
+
+
 def test_checkpoint_tensor_of_the_wrong_shape_exits_2_for_eval(tmp_path, capsys):
     cfg = desk_config(tmp_path, **{"split.test_slices": [9], "split.test_count": None})
     assert main(["synth", "--config", str(cfg)]) == 0
@@ -349,7 +367,8 @@ def test_failed_report_write_keeps_the_previous_report(tmp_path, capsys, failing
     failing_writes(1)
     capsys.readouterr()
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(other)]) == 2
-    assert "no space" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no space" in err and "report.json" in err
     assert {name: (out / name).read_bytes() for name in previous} == previous
     assert sorted(p.name for p in out.iterdir()) == names
 

@@ -25,7 +25,6 @@ from seistile.data import (
     split_blocks,
     tile_count,
     tile_origins,
-    tile_slice,
     tile_volume,
     write_pgm,
 )
@@ -98,7 +97,14 @@ def test_segv_truncated_payload(tmp_path):
         load_segv(path)
 
 
-@pytest.mark.parametrize("sidecar", [b"{not json", b"\xff\xfe{}"])
+def test_segv_extents_whose_product_wraps_int64_are_corruption(tmp_path):
+    path = tmp_path / "v.segv"
+    path.write_bytes(b"SEGV1\n" + bytes([0, 4]) + struct.pack("<4I", *[65536] * 4))  # 2**64 elements, no payload
+    with pytest.raises(CorruptionError, match="payload"):
+        load_segv(path)
+
+
+@pytest.mark.parametrize("sidecar", [b"{not json", b"\xff\xfe{}", b"[1, 2]"])
 def test_segv_malformed_sidecar_is_format_error(tmp_path, sidecar):
     path = tmp_path / "v.segv"
     save_volume(path, Volume(data=np.zeros((2, 3, 4), dtype=np.float32)))
@@ -114,6 +120,14 @@ def test_mask_round_trip_preserves_num_classes(tmp_path):
     back = load_masks(path)
     assert back.num_classes == 8
     np.testing.assert_array_equal(back.data, masks.data)
+
+
+@pytest.mark.parametrize("num_classes", ["seven", True, 7.0, 0, -1, None])
+def test_mask_sidecar_num_classes_must_be_a_positive_int(tmp_path, num_classes):
+    path = tmp_path / "m.segv"
+    save_segv(path, np.zeros((1, 2, 2), dtype=np.uint8), {"num_classes": num_classes})
+    with pytest.raises(FormatError, match="num_classes"):
+        load_masks(path)
 
 
 def test_pgm_round_trip(tmp_path):
@@ -282,12 +296,14 @@ def test_tile_origins_match_enumeration_oracle():
         assert tile_count(h, w, cfg) == len(want)
 
 
-def test_tile_slice_provenance_and_bounds():
+def test_tile_volume_provenance_and_bounds():
     rng = np.random.default_rng(6)
     image = rng.normal(size=(50, 70)).astype(np.float32)
     mask = rng.integers(0, 7, size=(50, 70)).astype(np.uint8)
     cfg = TileConfig(tile_h=20, tile_w=30, overlap_fraction=0.5)
-    ts = tile_slice(image, mask, cfg, slice_index=3)
+    volume = Volume(data=np.stack([np.zeros_like(image)] * 3 + [image]))
+    masks = MaskVolume(data=np.stack([np.zeros_like(mask)] * 3 + [mask]), num_classes=7)
+    ts = tile_volume(volume, masks, [3], cfg)
     assert len(ts) == tile_count(50, 70, cfg)
     for (s, r, c), img_tile, mask_tile in zip(ts.provenance, ts.images, ts.masks):
         assert s == 3
@@ -300,6 +316,8 @@ def test_tile_larger_than_slice_is_config_error():
     cfg = TileConfig(tile_h=64, tile_w=64, overlap_fraction=0.5)
     with pytest.raises(ConfigError):
         tile_origins(32, 128, cfg)
+    with pytest.raises(ConfigError):
+        tile_count(10, 10, TileConfig(80, 120))
 
 
 def test_tile_volume_sorted_by_slice_row_col(tmp_path):
@@ -310,6 +328,9 @@ def test_tile_volume_sorted_by_slice_row_col(tmp_path):
     ts = tile_volume(vol, masks, [2, 0], cfg)
     prov = ts.provenance.tolist()
     assert prov == sorted(prov)
+    for (s, r, c), img_tile, mask_tile in zip(prov, ts.images, ts.masks):
+        np.testing.assert_array_equal(img_tile, vol.data[s, r : r + 20, c : c + 20])
+        np.testing.assert_array_equal(mask_tile, masks.data[s, r : r + 20, c : c + 20])
     ts.save(tmp_path / "tiles")
     back = TileSet.load(tmp_path / "tiles")
     np.testing.assert_array_equal(back.images, ts.images)

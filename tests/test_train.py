@@ -7,6 +7,7 @@ import pytest
 import seistile.train as train_mod
 from seistile.data import SynthConfig, TileConfig, generate_synthetic_volume, tile_volume
 from seistile.errors import ConfigError, CorruptionError, DivergenceError, FormatError
+from seistile.metrics import evaluate_testset
 from seistile.network import build_model
 from seistile.tensor import Tensor
 from seistile.topology import count_parameters, parse_topology
@@ -367,6 +368,14 @@ def test_checkpoint_that_does_not_fit_its_topology_is_format_error(case):
 
 def _val_pairs(vol, masks, indices):
     return [(vol.slice(i), masks.slice(i)) for i in indices]
+
+
+def test_validation_miou_is_the_test_protocol_mmiou():
+    vol, masks, _ = tiny_tiles(slices=4)
+    model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=3, dtype=np.float32)
+    indices = [0, 2, 3]
+    got = train_mod._validation_miou(model, _val_pairs(vol, masks, indices), 12, 8)  # covers 24 x 32 of 32 x 32
+    assert got == evaluate_testset(model, vol, masks, indices, 12, 8).mmiou
 
 
 def test_epoch0_loss_bitwise_deterministic():
