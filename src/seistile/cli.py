@@ -22,16 +22,7 @@ import numpy as np
 from . import data as D
 from . import topology as T
 from .config import apply_overrides, config_digest, load_config, resolve_config
-from .errors import (
-    ConfigError,
-    ContractError,
-    DivergenceError,
-    FormatError,
-    LabelError,
-    ParseError,
-    SeistileError,
-    TopologyError,
-)
+from .errors import ConfigError, DivergenceError, FormatError, SeistileError
 from .metrics import evaluate_testset, export_mask_pgm, predict_slice_masks, report_to_csv, report_to_json
 from .network import build_model
 from .train import (
@@ -123,6 +114,7 @@ def cmd_synth(args) -> int:
 def cmd_prepare(args) -> int:
     cfg = _resolved(args)
     _announce(cfg)
+    T.check_tile(_model_spec(cfg), cfg["tiles"]["tile_h"], cfg["tiles"]["tile_w"], "tiles")
     volume = D.load_volume(cfg["data"]["volume"])
     masks = D.load_masks(cfg["data"]["masks"])
     if volume.data.shape != masks.data.shape:
@@ -175,6 +167,7 @@ def cmd_train(args) -> int:
         raise ConfigError("prepared training tile set is empty")
 
     spec = _model_spec(cfg)
+    T.check_tile(spec, tiles.tile_h, tiles.tile_w, "tiles")
     if spec.num_classes != masks.num_classes:
         raise ConfigError(f"model emits {spec.num_classes} classes but masks have {masks.num_classes}")
     model = build_model(spec, seed=cfg["seed"] + SEED_BUILD, dtype=np.float32,
@@ -210,6 +203,7 @@ def cmd_eval(args) -> int:
     out, volume, masks, split = _load_prepared(cfg)
     ckpt_path = args.checkpoint or (out / "checkpoint.ckpt")
     model = restore_model(load_checkpoint(ckpt_path))
+    T.check_tile(model.spec, cfg["eval"]["tile_h"], cfg["eval"]["tile_w"], "eval")
     if not split["test"]:
         raise ConfigError("split has no test slices")
     report = evaluate_testset(model, volume, masks, split["test"],
@@ -266,6 +260,7 @@ def cmd_export_masks(args) -> int:
     out, volume, masks, split = _load_prepared(cfg)
     ckpt_path = args.checkpoint or (out / "checkpoint.ckpt")
     model = restore_model(load_checkpoint(ckpt_path))
+    T.check_tile(model.spec, cfg["eval"]["tile_h"], cfg["eval"]["tile_w"], "eval")
     mask_dir = out / "masks"
     mask_dir.mkdir(exist_ok=True)
     indices = split["test"] or split["val"]
@@ -336,18 +331,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParseError, TopologyError) as err:
+    except (SeistileError, OSError) as err:  # an OSError's text names its path
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:  # a path that is missing, a directory, unreadable, ...; str names it
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (FormatError, LabelError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (DivergenceError, ContractError, SeistileError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(err, OSError) else err.exit_code
 
 
 if __name__ == "__main__":

@@ -100,8 +100,8 @@ def load_config(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        doc = json.loads(path.read_bytes().decode())
+    except ValueError as e:  # covers JSON and UTF-8 decoding
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

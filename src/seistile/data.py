@@ -389,8 +389,10 @@ class TileSet:
                 [[t["slice"], t["row"], t["col"]] for t in header["tiles"]], dtype=np.int32
             ).reshape(-1, 3)
             tile_h, tile_w = header["tile_h"], header["tile_w"]
-        except (KeyError, TypeError, ValueError) as err:  # ValueError covers JSON and UTF-8 decoding
+        except (KeyError, TypeError, ValueError, OverflowError) as err:  # ValueError covers JSON and UTF-8 decoding
             raise FormatError(f"{sidecar}: malformed tile sidecar ({type(err).__name__}: {err})") from None
+        if images.dtype != np.float32 or masks.dtype != np.uint8:
+            raise FormatError(f"{stem}: expected f32 images and u8 masks, got {images.dtype} and {masks.dtype}")
         if not images.shape == masks.shape == (len(prov), tile_h, tile_w):
             raise FormatError(
                 f"{stem}: images {images.shape}, masks {masks.shape} and {len(prov)} provenance "

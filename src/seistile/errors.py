@@ -1,12 +1,15 @@
 """Exception types shared across the library.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 1, data/format problems with 2, runtime failures with 3.
+Each class carries the process exit code the CLI ends with when it is
+raised: configuration problems exit with 1, data/format problems with 2,
+runtime failures with 3.
 """
 
 
 class SeistileError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 3
 
 
 class DimensionError(SeistileError):
@@ -20,17 +23,25 @@ class ContractError(SeistileError):
 class ParseError(SeistileError):
     """Topology DSL text could not be parsed."""
 
+    exit_code = 1
+
 
 class TopologyError(SeistileError):
     """A parsed topology violates a structural invariant."""
+
+    exit_code = 1
 
 
 class ConfigError(SeistileError):
     """A run configuration is missing, malformed, or inconsistent."""
 
+    exit_code = 1
+
 
 class FormatError(SeistileError):
     """A binary file does not match its declared format."""
+
+    exit_code = 2
 
 
 class CorruptionError(FormatError):
@@ -39,6 +50,8 @@ class CorruptionError(FormatError):
 
 class LabelError(SeistileError):
     """A label value lies outside the valid class range."""
+
+    exit_code = 2
 
 
 class DegenerateBatchError(SeistileError):

@@ -54,6 +54,7 @@ __all__ = [
     "softmax_cross_entropy",
     "Conv2D",
     "BatchNorm2D",
+    "Container",
     "ResidualUnit",
 ]
 
@@ -130,34 +131,45 @@ def _conv_adjoint(g: np.ndarray, kernel: np.ndarray, s: int, h: int, w: int) -> 
     return out.transpose(2, 3, 0, 4, 1, 5).reshape(n, ho * s, wo * s, cin)[:, :h, :w]
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1) -> Tensor:
-    """Strided 2-D convolution, N x H x W x Cin -> N x ceil(H/s) x ceil(W/s) x Cout."""
+def _conv(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, transposed: bool) -> Tensor:
+    """The one body of ``conv2d`` and ``conv2d_transposed``: each runs one of
+    ``_conv_forward``/``_conv_adjoint`` forward and the other for the input
+    gradient, and both read the kernel gradient off the fine side first."""
+    op = "conv2d_transposed" if transposed else "conv2d"
     if x.data.ndim != 4:
-        raise DimensionError(f"conv2d expects NHWC input, got shape {x.shape}")
+        raise DimensionError(f"{op} expects NHWC input, got shape {x.shape}")
     if kernel.data.ndim != 4:
-        raise DimensionError(f"conv2d kernel must be KhKwCinCout, got shape {kernel.shape}")
-    if x.shape[3] != kernel.shape[2]:
-        raise DimensionError(
-            f"conv2d: input has {x.shape[3]} channels but kernel expects {kernel.shape[2]}"
-        )
-    if bias is not None and bias.shape != (kernel.shape[3],):
-        raise DimensionError(f"conv2d: bias shape {bias.shape} != ({kernel.shape[3]},)")
+        raise DimensionError(f"{op} kernel must be rank 4 (Kh x Kw x A x B), got shape {kernel.shape}")
+    cin, cout = (kernel.shape[3], kernel.shape[2]) if transposed else kernel.shape[2:]
+    if x.shape[3] != cin:
+        raise DimensionError(f"{op}: input has {x.shape[3]} channels but kernel expects {cin}")
+    if bias is not None and bias.shape != (cout,):
+        raise DimensionError(f"{op}: bias shape {bias.shape} != ({cout},)")
 
-    y = _conv_forward(x.data, kernel.data, stride)
+    h, w = x.shape[1], x.shape[2]
+    fine = (h * stride, w * stride) if transposed else (h, w)  # the fine side's plane
+    coarsen_refine = (lambda a: _conv_forward(a, kernel.data, stride),
+                      lambda a: _conv_adjoint(a, kernel.data, stride, *fine))
+    along, against = coarsen_refine[::-1] if transposed else coarsen_refine
+    y = along(x.data)
     if bias is not None:
         y += bias.data  # y is freshly allocated by the engine
     out = Tensor(y)
-    kh, kw = kernel.shape[:2]
-    h, w = x.shape[1], x.shape[2]
 
     def backward_fn(g):
-        gx = _conv_adjoint(g, kernel.data, stride, h, w) if x.requires_grad else None
-        gk = _conv_kernel_grad(x.data, g, stride, kh, kw) if kernel.requires_grad else None
+        gx = against(g) if x.requires_grad else None
+        fine_side, coarse_side = (g, x.data) if transposed else (x.data, g)
+        gk = _conv_kernel_grad(fine_side, coarse_side, stride, *kernel.shape[:2]) if kernel.requires_grad else None
         gb = np.einsum("ijkl->l", g) if bias is not None and bias.requires_grad else None
         return (gx, gk, gb) if bias is not None else (gx, gk)
 
     inputs = (x, kernel, bias) if bias is not None else (x, kernel)
     return record_op(out, inputs, backward_fn)
+
+
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1) -> Tensor:
+    """Strided 2-D convolution, N x H x W x Cin -> N x ceil(H/s) x ceil(W/s) x Cout."""
+    return _conv(x, kernel, bias, stride, transposed=False)
 
 
 def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1) -> Tensor:
@@ -166,31 +178,7 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: in
     With kernel storage Kh x Kw x Cout x Cin this is the exact adjoint of
     ``conv2d`` run with the same array and stride.
     """
-    if x.data.ndim != 4:
-        raise DimensionError(f"conv2d_transposed expects NHWC input, got shape {x.shape}")
-    if x.shape[3] != kernel.shape[3]:
-        raise DimensionError(
-            f"conv2d_transposed: input has {x.shape[3]} channels but kernel expects {kernel.shape[3]}"
-        )
-    cout = kernel.shape[2]
-    if bias is not None and bias.shape != (cout,):
-        raise DimensionError(f"conv2d_transposed: bias shape {bias.shape} != ({cout},)")
-
-    n, h, w, _ = x.shape
-    hf, wf = h * stride, w * stride  # fine-side output dims
-    y = _conv_adjoint(x.data, kernel.data, stride, hf, wf)
-    if bias is not None:
-        y += bias.data  # y is freshly allocated by the engine
-    out = Tensor(y)
-
-    def backward_fn(g):
-        gx = _conv_forward(g, kernel.data, stride) if x.requires_grad else None
-        gk = _conv_kernel_grad(g, x.data, stride, kernel.shape[0], kernel.shape[1]) if kernel.requires_grad else None
-        gb = np.einsum("ijkl->l", g) if bias is not None and bias.requires_grad else None
-        return (gx, gk, gb) if bias is not None else (gx, gk)
-
-    inputs = (x, kernel, bias) if bias is not None else (x, kernel)
-    return record_op(out, inputs, backward_fn)
+    return _conv(x, kernel, bias, stride, transposed=True)
 
 
 def batch_norm(
@@ -316,12 +304,6 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # Parameter containers
 
 
-def _bn_arrays(channels: int, dtype) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
-    gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-    beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-    return gamma, beta, np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype)
-
-
 class BatchNorm2D:
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.997, dtype=np.float64):
         if eps <= 0:
@@ -331,7 +313,10 @@ class BatchNorm2D:
         self.channels = channels
         self.eps = eps
         self.momentum = momentum
-        self.gamma, self.beta, self.running_mean, self.running_var = _bn_arrays(channels, dtype)
+        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
+        self.running_mean = np.zeros(channels, dtype=dtype)
+        self.running_var = np.ones(channels, dtype=dtype)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         return batch_norm(
@@ -367,8 +352,30 @@ class Conv2D:
     def parameters(self):
         return [("kernel", self.kernel, True), ("bias", self.bias, False)]
 
+    def buffers(self):
+        return []
 
-class ResidualUnit:
+
+class Container:
+    """A block made of named parts. ``parts()`` lists them in checkpoint
+    order, with None for an absent part; each tensor is named
+    ``<part>.<tensor>`` after the part that holds it. This is the one place
+    the DNCKPT1 tensor names are made."""
+
+    def parameters(self):
+        """(name, tensor, weight_decay_eligible) for every learnable tensor.
+        Only convolution kernels are decay-eligible; biases and batch-norm
+        affine parameters are excluded."""
+        return [(f"{prefix}.{n}", t, d) for prefix, part in self.parts() if part is not None
+                for n, t, d in part.parameters()]
+
+    def buffers(self):
+        """(name, array) for every running statistic."""
+        return [(f"{prefix}.{n}", a) for prefix, part in self.parts() if part is not None
+                for n, a in part.buffers()]
+
+
+class ResidualUnit(Container):
     """y = ReLU(h(x) + F(x)) with F = conv(k,s) -> BN -> ReLU -> conv(k,1) -> BN.
 
     h is the identity when the unit changes neither resolution nor channel
@@ -398,17 +405,6 @@ class ResidualUnit:
             )
         return relu(add(h, f))
 
-    def parameters(self):
-        named = []
-        for prefix, part in (
-            ("conv1", self.conv1), ("bn1", self.bn1), ("conv2", self.conv2), ("bn2", self.bn2),
-        ):
-            named.extend((f"{prefix}.{n}", t, d) for n, t, d in part.parameters())
-        if self.shortcut is not None:
-            named.extend((f"shortcut.{n}", t, d) for n, t, d in self.shortcut.parameters())
-        return named
-
-    def buffers(self):
-        out = [("bn1." + n, a) for n, a in self.bn1.buffers()]
-        out += [("bn2." + n, a) for n, a in self.bn2.buffers()]
-        return out
+    def parts(self):
+        return [("conv1", self.conv1), ("bn1", self.bn1), ("conv2", self.conv2), ("bn2", self.bn2),
+                ("shortcut", self.shortcut)]

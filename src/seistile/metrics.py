@@ -161,6 +161,9 @@ def predict_slice_mask(model, image: np.ndarray, tile_h: int, tile_w: int,
 
     def classify(batch):
         logits = model.forward(Tensor(batch), train=False).data
+        if logits.shape[1:3] != (tile_h, tile_w):
+            raise ConfigError(f"the model turns {tile_h}x{tile_w} tiles into {logits.shape[1]}x{logits.shape[2]} "
+                              "masks; each tile side must survive the topology unchanged")
         return np.argmax(logits, axis=3).astype(np.uint8)
 
     batches = np.array_split(tiles, -(-len(tiles) // batch_size))

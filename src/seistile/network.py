@@ -47,8 +47,7 @@ def _block(rng, layer: LayerSpec, cin: int, dtype, bn_eps: float, bn_momentum: f
         (conv1, bn1), (conv2, bn2), *projection = parts
         shortcut = projection[0][0] if projection else None
         return L.ResidualUnit(conv1, bn1, conv2, bn2, shortcut, layer.stride)
-    conv, norm = parts[0]
-    return _Classifier(conv) if norm is None else _ConvBlock(conv, norm)
+    return _ConvBlock(*parts[0])
 
 
 def _residual_unit(rng, cin, cout, stride, k, dtype, transposed: bool,
@@ -57,40 +56,24 @@ def _residual_unit(rng, cin, cout, stride, k, dtype, transposed: bool,
     return _block(rng, layer, cin, dtype, bn_eps, bn_momentum)
 
 
-class _ConvBlock:
-    """conv (or tconv) -> BN -> ReLU, the expansion of plain c/tc tokens."""
+class _ConvBlock(L.Container):
+    """conv (or tconv) -> BN -> ReLU, the expansion of plain c/tc tokens; with
+    no BN, the classifier's bare convolution."""
 
-    def __init__(self, conv, bn):
+    def __init__(self, conv, bn=None):
         self.conv = conv
         self.bn = bn
 
     def forward(self, x, train):
+        if self.bn is None:
+            return self.conv.forward(x)
         return relu(self.bn.forward(self.conv.forward(x), train))
 
-    def parameters(self):
-        named = [("conv." + n, t, d) for n, t, d in self.conv.parameters()]
-        named += [("bn." + n, t, d) for n, t, d in self.bn.parameters()]
-        return named
-
-    def buffers(self):
-        return [("bn." + n, a) for n, a in self.bn.buffers()]
+    def parts(self):
+        return [("conv", self.conv), ("bn", self.bn)]
 
 
-class _Classifier:
-    def __init__(self, conv):
-        self.conv = conv
-
-    def forward(self, x, train):
-        return self.conv.forward(x)
-
-    def parameters(self):
-        return [("conv." + n, t, d) for n, t, d in self.conv.parameters()]
-
-    def buffers(self):
-        return []
-
-
-class Model:
+class Model(L.Container):
     """A sequential stack instantiated from a TopologySpec."""
 
     def __init__(self, spec: TopologySpec, blocks, dtype):
@@ -107,22 +90,8 @@ class Model:
             x = block.forward(x, train)
         return x
 
-    def parameters(self) -> list[tuple[str, Tensor, bool]]:
-        """(name, tensor, weight_decay_eligible) for every learnable tensor.
-
-        Only convolution kernels are decay-eligible; biases and batch-norm
-        affine parameters are excluded.
-        """
-        named = []
-        for i, block in enumerate(self.blocks):
-            named.extend((f"layer{i}.{n}", t, d) for n, t, d in block.parameters())
-        return named
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        named = []
-        for i, block in enumerate(self.blocks):
-            named.extend((f"layer{i}.{n}", a) for n, a in block.buffers())
-        return named
+    def parts(self):
+        return [(f"layer{i}", block) for i, block in enumerate(self.blocks)]
 
     def zero_grads(self) -> None:
         for _, t, _ in self.parameters():

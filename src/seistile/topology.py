@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, TopologyError
+from .errors import ConfigError, ParseError, TopologyError
 
 __all__ = [
     "LayerSpec",
@@ -33,6 +33,7 @@ __all__ = [
     "parse_topology",
     "render_topology",
     "forward_shape",
+    "check_tile",
     "count_parameters",
     "count_running_stats",
     "count_operations",
@@ -160,6 +161,18 @@ def forward_shape(spec: TopologySpec, h: int, w: int) -> tuple[int, int, int]:
         h, w = _out_size(layer, h, w)
         c = layer.channels
     return h, w, c
+
+
+def check_tile(spec: TopologySpec, tile_h: int, tile_w: int, section: str) -> None:
+    """Raise ConfigError naming ``<section>.tile_h`` or ``<section>.tile_w``
+    unless the topology returns a tile_h x tile_w input at that size, as a
+    tile's mask must be to fit back into its slice. Every preset has total
+    stride 8, so there each tile side must be a multiple of 8."""
+    out_h, out_w, _ = forward_shape(spec, tile_h, tile_w)
+    for key, size, out in (("tile_h", tile_h, out_h), ("tile_w", tile_w, out_w)):
+        if out != size:
+            raise ConfigError(f"{section}.{key}={size}: {spec.name} turns a {tile_h}x{tile_w} tile into "
+                              f"{out_h}x{out_w}; each tile side must survive the topology unchanged")
 
 
 def layer_convs(layer: LayerSpec, cin: int) -> list[tuple[int, int, int, int, bool]]:

@@ -20,7 +20,7 @@ from .layers import softmax_cross_entropy
 from .metrics import iou_per_class, miou_image, mmiou, predict_slice_mask, predict_slice_masks
 from .network import Model, build_model
 from .tensor import Tensor, backward, recording
-from .topology import parse_topology
+from .topology import count_parameters, parse_topology
 
 __all__ = [
     "OptimizerConfig",
@@ -246,6 +246,9 @@ def restore_model(ckpt: Checkpoint, name: str = "restored") -> Model:
         spec = parse_topology(ckpt.topology_text, name=name)
     except (ParseError, TopologyError) as err:  # the text is data read from the file
         raise FormatError(f"checkpoint stores an invalid topology: {err}") from None
+    stored = sum(a.size for a in ckpt.params.values())
+    if stored != count_parameters(spec):  # checked before building: the text may ask for any size
+        raise FormatError(f"checkpoint holds {stored} parameters, its topology needs {count_parameters(spec)}")
     model = build_model(spec, seed=0, dtype=np.float32)
     expected = {n for n, _, _ in model.parameters()}
     if expected != set(ckpt.params):

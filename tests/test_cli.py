@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seistile import cli, errors
 from seistile.cli import main
 from seistile.data import TileSet, load_masks, load_segv, load_volume
 from seistile.network import build_model
-from seistile.topology import parse_topology
+from seistile.topology import parse_topology, preset, scale_widths
 from seistile.train import Checkpoint, checkpoint_from_model, save_checkpoint
 
 
@@ -371,6 +372,44 @@ def test_failed_report_write_keeps_the_previous_report(tmp_path, capsys, failing
     assert "no space" in err and "report.json" in err
     assert {name: (out / name).read_bytes() for name in previous} == previous
     assert sorted(p.name for p in out.iterdir()) == names
+
+
+def test_tile_width_the_topology_does_not_return_exits_1_naming_its_key(tmp_path, capsys):
+    """danet-fcn2 has total stride 8, so it turns a 100-wide tile into a 104-wide mask."""
+    stride2 = tmp_path / "stride2.dsl"
+    stride2.write_text("c3 s2 4\ntc3 s2 4\nout 7\n")
+    cfg = desk_config(tmp_path, **{"synth.width": 200, "split.test_slices": [9], "split.test_count": None})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["prepare", "--config", str(cfg), "--set", "tiles.tile_w=100",
+                 "--set", f"model.dsl_path={stride2}"]) == 0  # 100 survives a stride-2 net
+    fcn2 = tmp_path / "fcn2.ckpt"
+    save_checkpoint(checkpoint_from_model(build_model(scale_widths(preset("danet-fcn2"), 0.05), seed=0)), fcn2)
+    capsys.readouterr()
+    for argv, key in ((["prepare", "--set", "tiles.tile_w=100"], "tiles.tile_w=100"),
+                      (["train", "--set", "tiles.tile_w=100"], "tiles.tile_w=100"),
+                      (["eval", "--checkpoint", str(fcn2), "--set", "eval.tile_w=100"], "eval.tile_w=100"),
+                      (["export-masks", "--checkpoint", str(fcn2), "--set", "eval.tile_w=100"], "eval.tile_w=100")):
+        assert main(argv + ["--config", str(cfg)]) == 1, argv
+        assert f"error: {key}: " in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert not any((out / name).exists() for name in ("checkpoint.ckpt", "report.json", "masks"))
+
+
+# The exit code of every error class, spelled out: a new class needs an entry.
+EXIT_CODES = {"SeistileError": 3, "DimensionError": 3, "ContractError": 3, "ParseError": 1,
+              "TopologyError": 1, "ConfigError": 1, "FormatError": 2, "CorruptionError": 2,
+              "LabelError": 2, "DegenerateBatchError": 3, "DivergenceError": 3, "OSError": 2}
+
+
+@pytest.mark.parametrize("name", [n for n, c in vars(errors).items()
+                                  if isinstance(c, type) and issubclass(c, Exception)] + ["OSError"])
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, name):
+    def failing(args):
+        raise getattr(errors, name, OSError)("injected")
+
+    monkeypatch.setattr(cli, "cmd_config", failing)
+    assert main(["config", "--defaults"]) == EXIT_CODES[name]
+    assert capsys.readouterr().err == "error: injected\n"
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

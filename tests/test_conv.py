@@ -43,6 +43,12 @@ def test_conv_channel_mismatch():
         conv2d(x, k, None)
 
 
+@pytest.mark.parametrize("op", [conv2d, conv2d_transposed])
+def test_conv_kernel_of_rank_3_is_a_dimension_error(op):
+    with pytest.raises(DimensionError, match="kernel must be rank 4"):
+        op(Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((3, 3, 3))), None)
+
+
 def test_conv_matches_naive_oracle_spec_case():
     rng = np.random.default_rng(42)
     x = rand_int_tensor(rng, (1, 6, 6, 2))

@@ -30,7 +30,7 @@ from seistile.metrics import (
 )
 from seistile.network import build_model
 from seistile.tensor import Tensor
-from seistile.topology import preset, scale_widths
+from seistile.topology import parse_topology, preset, scale_widths
 
 
 class OracleModel:
@@ -221,6 +221,12 @@ def test_predict_is_deterministic():
 def test_predict_rejects_oversized_tile():
     with pytest.raises(ConfigError):
         predict_slice_mask(ConstantModel(), np.zeros((16, 16)), 32, 32)
+
+
+def test_predict_rejects_a_tile_the_model_returns_at_another_size():
+    model = build_model(parse_topology("c3 s2 4\ntc3 s2 4\nout 7"), seed=0)  # 9 -> 5 -> 10
+    with pytest.raises(ConfigError, match="8x9 tiles into 8x10"):
+        predict_slice_mask(model, np.zeros((16, 18)), 8, 9)
 
 
 # ------------------------------------------------------------- full test set

@@ -242,6 +242,34 @@ def test_checkpoint_holds_only_parameters_and_running_stats(tmp_path):
     assert len(blob) == 12 + hlen + 4 * (count_parameters(spec) + running)
 
 
+def test_checkpoint_tensor_directory_is_pinned(tmp_path):
+    """The DNCKPT1 tensor names and their order for a net with every block
+    kind: files written under these names must keep loading."""
+    model = build_model(parse_topology("c3 s2 4\nru s2 8\nru 8\ntru s2 4\ntc3 s2 4\nout 3"), seed=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_model(model), path)
+    _, header = _header(path.read_bytes())
+    assert [(e["kind"], e["name"]) for e in header["tensors"]] == [("param", n) for n in [
+        "layer0.conv.kernel", "layer0.conv.bias", "layer0.bn.gamma", "layer0.bn.beta",
+        "layer1.conv1.kernel", "layer1.conv1.bias", "layer1.bn1.gamma", "layer1.bn1.beta",
+        "layer1.conv2.kernel", "layer1.conv2.bias", "layer1.bn2.gamma", "layer1.bn2.beta",
+        "layer1.shortcut.kernel", "layer1.shortcut.bias",
+        "layer2.conv1.kernel", "layer2.conv1.bias", "layer2.bn1.gamma", "layer2.bn1.beta",
+        "layer2.conv2.kernel", "layer2.conv2.bias", "layer2.bn2.gamma", "layer2.bn2.beta",
+        "layer3.conv1.kernel", "layer3.conv1.bias", "layer3.bn1.gamma", "layer3.bn1.beta",
+        "layer3.conv2.kernel", "layer3.conv2.bias", "layer3.bn2.gamma", "layer3.bn2.beta",
+        "layer3.shortcut.kernel", "layer3.shortcut.bias",
+        "layer4.conv.kernel", "layer4.conv.bias", "layer4.bn.gamma", "layer4.bn.beta",
+        "layer5.conv.kernel", "layer5.conv.bias",
+    ]] + [("running", n) for n in [
+        "layer0.bn.running_mean", "layer0.bn.running_var",
+        "layer1.bn1.running_mean", "layer1.bn1.running_var", "layer1.bn2.running_mean", "layer1.bn2.running_var",
+        "layer2.bn1.running_mean", "layer2.bn1.running_var", "layer2.bn2.running_mean", "layer2.bn2.running_var",
+        "layer3.bn1.running_mean", "layer3.bn1.running_var", "layer3.bn2.running_mean", "layer3.bn2.running_var",
+        "layer4.bn.running_mean", "layer4.bn.running_var",
+    ]]
+
+
 def _with_optimizer_sections(blob):
     """The same checkpoint in the older layout that also stored RMSProp
     ``opt_ms``/``opt_mom`` after the running stats and the shuffle RNG state."""
