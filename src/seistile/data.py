@@ -226,7 +226,7 @@ def read_pgm(path) -> np.ndarray:
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval
-    payload = blob[pos : pos + w * h]
+    payload = blob[pos:]  # exactly w*h bytes: a shrunk extent must not read part of the image
     if len(payload) != w * h:
         raise CorruptionError(f"{path}: payload is {len(payload)} bytes, expected {w * h}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()

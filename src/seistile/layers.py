@@ -222,21 +222,24 @@ def batch_norm(
         xhat *= inv_std
         y = xhat * gamma.data
         y += beta.data
+        saved = xhat  # the rule never reads x, so the record lets it die
     else:
         mean = running_mean.copy()  # backward must see the statistics of this call
         inv_std = 1.0 / np.sqrt(running_var + eps)
         scale = gamma.data * inv_std
         y = xf * scale
         y += beta.data - mean * scale
-    out = Tensor(y.reshape(x.shape))
+        saved = xf
+    shape, x_needs_grad = x.shape, x.requires_grad
+    out = Tensor(y.reshape(shape))
 
     def backward_fn(g):
         gf = g.reshape(m, c)
-        xh = xhat if train else (xf - mean) * inv_std
+        xh = saved if train else (saved - mean) * inv_std
         gbeta = np.einsum("ij->j", gf)
         ggamma = np.einsum("ij,ij->j", gf, xh)
         gx = None
-        if x.requires_grad:
+        if x_needs_grad:
             if train:
                 # batch statistics depend on x: gx = a*(g - xhat*ggamma/m - gbeta/m), a = gamma*inv_std
                 gx = xh * (-ggamma / m)
@@ -245,7 +248,7 @@ def batch_norm(
                 gx *= gamma.data * inv_std
             else:
                 gx = gf * (gamma.data * inv_std)
-            gx = gx.reshape(x.shape)
+            gx = gx.reshape(shape)
         return gx, ggamma if gamma.requires_grad else None, gbeta if beta.requires_grad else None
 
     return record_op(out, (x, gamma, beta), backward_fn)
@@ -288,9 +291,10 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     picked = np.take_along_axis(log_probs, idx, axis=3)
     m = labels.size
     out = Tensor(np.asarray(-picked.sum() / m, dtype=x.dtype))
+    logits_need_grad = logits.requires_grad
 
     def backward_fn(g):
-        if not logits.requires_grad:
+        if not logits_need_grad:
             return (None,)
         grad = np.exp(log_probs)  # softmax minus the one-hot label
         np.put_along_axis(grad, idx, np.take_along_axis(grad, idx, axis=3) - 1.0, axis=3)

@@ -1,9 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A :class:`Tensor` wraps a numpy array. Operations executed while a
-:class:`Tape` is active append records (inputs, output, backward rule) in
-execution order; :func:`backward` replays them in reverse to populate
-``grad`` on every tensor that requires it.
+:class:`Tape` is active append records (input slots, output slot, backward
+rule) in execution order. A recorded output gets a small gradient slot
+(``Tensor.node``) and the tape refers to that slot, never to the output's
+array, so an activation lives only as long as the forward or a backward
+rule that saved it uses it. A leaf, a tensor no record produced, is its own
+slot. :func:`backward` replays the records in reverse and frees each one,
+and the gradient it carried, as soon as its rule has run; ``grad`` is set
+on leaves only, as in PyTorch's autograd.
 
 Conventions: activations are N x H x W x C, kernels Kh x Kw x Cin x Cout.
 There is no broadcasting beyond tensor-vs-scalar.
@@ -34,15 +39,33 @@ __all__ = [
 ]
 
 
+class _Node:
+    """The gradient slot of a recorded output: all that backward needs of it."""
+
+    __slots__ = ("dtype", "grad")
+    requires_grad = True
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+        self.grad: np.ndarray | None = None
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.array(g, dtype=self.dtype, copy=True)
+        else:
+            self.grad += g
+
+
 class Tensor:
     """A dense n-d array that can participate in gradient recording."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.node: _Node | None = None  # the slot a tape gave this output; None on a leaf
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -59,11 +82,7 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
-            self.grad += g
+    accumulate_grad = _Node.accumulate_grad  # a leaf is its own gradient slot
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
@@ -109,7 +128,7 @@ class Tape:
     def __len__(self) -> int:
         return len(self.records)
 
-    def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
+    def record(self, out: _Node, inputs: tuple, backward_fn) -> None:
         self.records.append(_Record(out, inputs, backward_fn))
 
     def __enter__(self) -> "Tape":
@@ -145,12 +164,15 @@ def record_op(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Register a backward rule if a tape is active and any input needs grad.
 
     ``backward_fn(g)`` receives the upstream gradient (ndarray co-shaped
-    with ``out``) and must return one ndarray-or-None per input.
+    with ``out``) and must return one ndarray-or-None per input. The tape
+    keeps ``out``'s gradient slot and the inputs' slots, so whatever the
+    rule reads it must capture itself.
     """
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.record(out, inputs, backward_fn)
+        out.node = _Node(out.dtype)
+        tape.record(out.node, tuple(t.node or t for t in inputs), backward_fn)
     return out
 
 
@@ -229,26 +251,29 @@ def tensor_sum(a: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate ``grad`` on every requires-grad tensor reachable from ``loss``.
+    """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
-    ``loss`` must be a scalar produced on ``tape``; a tape can only be
-    consumed once.
+    ``loss`` must be a scalar produced on ``tape``. The tape is emptied as
+    backward runs: each record, and the gradient of its output, is dropped
+    once its rule has run, so a tape can only be consumed once and a
+    tensor some op produced keeps ``grad`` None.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     if tape.consumed:
         raise ContractError("tape already consumed; record a fresh graph before calling backward again")
-    if not any(rec.out is loss for rec in tape.records):
+    if not any(rec.out is loss.node for rec in tape.records):  # a leaf has no node
         raise ContractError("loss was not produced on this tape (detached or foreign)")
     tape.consumed = True
 
-    loss.accumulate_grad(np.ones_like(loss.data))
-    for rec in reversed(tape.records):
-        g = rec.out.grad
+    loss.node.accumulate_grad(np.ones_like(loss.data))
+    records = tape.records
+    while records:
+        rec = records.pop()
+        g, rec.out.grad = rec.out.grad, None
         if g is None:
             continue
-        grads = rec.backward_fn(g)
-        for t, gi in zip(rec.inputs, grads):
+        for t, gi in zip(rec.inputs, rec.backward_fn(g)):
             if gi is not None and t.requires_grad:
                 t.accumulate_grad(gi)
 

@@ -208,10 +208,15 @@ def load_checkpoint(path) -> Checkpoint:
     }
     try:
         header = json.loads(blob[start : start + header_len].decode())
+        end = 0  # each tensor starts where the previous one ends
         for entry in header["tensors"]:
-            raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
+            if entry["offset"] != end:
+                raise CorruptionError(f"{path}: tensor {entry['name']} starts at payload byte "
+                                      f"{entry['offset']}, not where the previous one ends ({end})")
+            raw = payload[end : end + entry["nbytes"]]
             if len(raw) != entry["nbytes"]:
                 raise CorruptionError(f"{path}: truncated tensor {entry['name']}")
+            end += entry["nbytes"]
             arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
             kept = sections[entry["kind"]]
             if kept is not None:

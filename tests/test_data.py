@@ -137,6 +137,14 @@ def test_pgm_round_trip(tmp_path):
     np.testing.assert_array_equal(read_pgm(path), img)
 
 
+def test_pgm_payload_longer_than_its_header_is_corruption(tmp_path):
+    path = tmp_path / "s.pgm"
+    write_pgm(path, np.zeros((4, 3), dtype=np.uint8))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CorruptionError, match="payload is 13 bytes, expected 12"):
+        read_pgm(path)
+
+
 @pytest.mark.parametrize("blob", [
     pytest.param(b"P5\n7 x9\n255\n" + bytes(63), id="non-numeric field"),
     pytest.param(b"P5\n7 9\n", id="ends before maxval"),

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+import seistile.layers as layers_mod
 from seistile.errors import DegenerateBatchError, DimensionError, LabelError
 from seistile.layers import (
     BatchNorm2D,
@@ -205,6 +208,43 @@ def test_residual_unit_matches_manual_composition():
     h = conv2d(x, unit.shortcut.kernel, unit.shortcut.bias, stride=2)
     want = relu(add(h, f)).data
     np.testing.assert_array_equal(got, want)
+
+
+def _owner(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_recorded_unit_forward_frees_outputs_no_backward_rule_reads(monkeypatch):
+    # the tape keeps gradient slots, not output arrays: with the tape still
+    # open, every part's output dies once the forward is done with it
+    rng = np.random.default_rng(20)
+    unit = _residual_unit(rng, cin=2, cout=4, stride=2, k=3, dtype=np.float64, transposed=False)
+    assert unit.shortcut is not None
+    alive = {}
+
+    def watched(name, fn):
+        def forward(*args):
+            out = fn(*args)
+            alive[name] = weakref.ref(_owner(out.data))
+            return out
+        return forward
+
+    for name in ("conv1", "bn1", "conv2", "bn2", "shortcut"):
+        part = getattr(unit, name)
+        part.forward = watched(name, part.forward)
+    monkeypatch.setattr(layers_mod, "add", watched("add", layers_mod.add))
+    x = Tensor(rng.normal(size=(2, 6, 6, 2)))
+    with recording() as tape:
+        y = unit.forward(x, train=True)
+        assert len(tape) == 8 and len(alive) == 6
+        assert [name for name, ref in alive.items() if ref() is not None] == []
+        loss = tensor_sum(y)
+    backward(loss, tape)  # the rules still have all they read
+    assert tape.records == []
+    for name, t, _ in unit.parameters():
+        assert t.grad is not None and t.grad.shape == t.shape and np.isfinite(t.grad).all(), name
 
 
 @pytest.mark.parametrize("transposed", [False, True])

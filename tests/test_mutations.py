@@ -126,13 +126,17 @@ def _ckpt_cases(blob, rng, must_fail, may_pass):
                        ("shape", [3, 3, 1, 4, 1]), ("kind", "weights"), ("name", "layer9.conv.kernel")):
         must_fail.append(rebuilt(lambda doc: doc["tensors"][0].__setitem__(key, value)))
     must_fail.append(rebuilt(lambda doc: doc.__setitem__("topology", "c3 s2 4\nru 99999\ntc3 s2 4\nout 7")))
+    _, bias, gamma = header["tensors"][:3]  # the bias and gamma of layer0 are both 4 floats
+    for offset in (-bias["nbytes"], gamma["offset"]):  # read from the payload's end; share gamma's bytes
+        must_fail.append(rebuilt(lambda doc: doc["tensors"][1].__setitem__("offset", offset)))
     may_pass += _flips(blob, (0, start + header_len), rng)
     may_pass += [with_header(text) for text in _numbers_replaced(blob[start : start + header_len])]
 
 
 def _pgm_cases(blob, rng, must_fail, may_pass):
     header = blob.index(b"255\n") + 4
-    must_fail += [blob[:end] for end in range(header)] + [blob[:-1]]
+    must_fail += [blob[:end] for end in range(header)] + [blob[:-1], blob + b"\0"]
+    must_fail += [blob.replace(b"16 16", b"16 06", 1)]  # a flipped height must not read part of the image
     must_fail += [b"P5\n99999999999 99999999999\n255\n" + blob[header:], b"P5\n16 16\n65535\n" + blob[header:]]
     may_pass += _flips(blob, (0, header), rng)
 

@@ -121,9 +121,11 @@ def test_backward_rejects_detached_loss():
     x = Tensor([1.0], requires_grad=True)
     with recording() as tape:
         tensor_sum(x)
-    stranger = Tensor(np.array(3.0))
-    with pytest.raises(ContractError):
-        backward(stranger, tape)
+    with recording():
+        foreign = tensor_sum(x)  # produced, but on another tape
+    for stranger in (Tensor(np.array(3.0)), foreign):
+        with pytest.raises(ContractError, match="not produced on this tape"):
+            backward(stranger, tape)
 
 
 def test_backward_rejects_second_call():
@@ -132,6 +134,24 @@ def test_backward_rejects_second_call():
         loss = tensor_sum(x)
     backward(loss, tape)
     with pytest.raises(ContractError):
+        backward(loss, tape)
+
+
+def test_backward_frees_the_tape_and_sets_grad_on_leaves_only():
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    with recording() as tape:
+        hidden = relu(matmul(x, w))
+        loss = tensor_sum(mul(hidden, hidden))
+    backward(loss, tape)
+    assert tape.records == []
+    assert hidden.requires_grad and hidden.grad is None and loss.grad is None
+    h = np.maximum(x.data @ w.data, 0.0)  # loss = sum(h*h)
+    np.testing.assert_allclose(x.grad, 2.0 * h @ w.data.T, rtol=1e-12)
+    np.testing.assert_allclose(w.grad, 2.0 * x.data.T @ h, rtol=1e-12)
+    assert grad_check(lambda t: tensor_sum(mul(relu(matmul(t, w)), relu(matmul(t, w)))), x) < 1e-6
+    with pytest.raises(ContractError, match="consumed"):
         backward(loss, tape)
 
 
