@@ -39,6 +39,7 @@ SEED_SYNTH, SEED_SPLIT, SEED_BUILD, SEED_SHUFFLE = 0, 1, 2, 3
 
 
 def _resolved(args) -> dict:
+    """The run config of the command line, whose digest goes to stderr for provenance."""
     cfg = load_config(args.config) if getattr(args, "config", None) else resolve_config()
     overrides = list(getattr(args, "set", None) or ())
     if getattr(args, "seed", None) is not None:
@@ -46,11 +47,8 @@ def _resolved(args) -> dict:
     cfg = apply_overrides(cfg, overrides)
     if getattr(args, "out_dir", None):
         cfg["data"]["out_dir"] = args.out_dir
-    return cfg
-
-
-def _announce(cfg: dict) -> None:
     print(f"config sha256={config_digest(cfg)}", file=sys.stderr)
+    return cfg
 
 
 def _model_spec(cfg: dict) -> T.TopologySpec:
@@ -98,7 +96,6 @@ def cmd_config(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _resolved(args)
-    _announce(cfg)
     synth_cfg = D.SynthConfig(**cfg["synth"], texture_seed=cfg["seed"] + SEED_SYNTH)
     volume, masks = D.generate_synthetic_volume(synth_cfg)
     vol_path, mask_path = Path(cfg["data"]["volume"]), Path(cfg["data"]["masks"])
@@ -113,7 +110,6 @@ def cmd_synth(args) -> int:
 
 def cmd_prepare(args) -> int:
     cfg = _resolved(args)
-    _announce(cfg)
     T.check_tile(_model_spec(cfg), cfg["tiles"]["tile_h"], cfg["tiles"]["tile_w"], "tiles")
     volume = D.load_volume(cfg["data"]["volume"])
     masks = D.load_masks(cfg["data"]["masks"])
@@ -160,7 +156,6 @@ def _load_prepared(cfg: dict):
 
 def cmd_train(args) -> int:
     cfg = _resolved(args)
-    _announce(cfg)
     out, volume, masks, split = _load_prepared(cfg)
     tiles = D.TileSet.load(out / "tiles_train")
     if len(tiles) == 0:
@@ -197,13 +192,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _restored(args):
+    """The config, the prepared run and the model of ``--checkpoint`` (default
+    the run's own), checked against the eval tile and the masks' classes."""
     cfg = _resolved(args)
-    _announce(cfg)
     out, volume, masks, split = _load_prepared(cfg)
-    ckpt_path = args.checkpoint or (out / "checkpoint.ckpt")
-    model = restore_model(load_checkpoint(ckpt_path))
+    model = restore_model(load_checkpoint(args.checkpoint or (out / "checkpoint.ckpt")))
     T.check_tile(model.spec, cfg["eval"]["tile_h"], cfg["eval"]["tile_w"], "eval")
+    if model.num_classes != masks.num_classes:
+        raise ConfigError(f"checkpoint model emits {model.num_classes} classes but masks have {masks.num_classes}")
+    return cfg, out, volume, masks, split, model
+
+
+def cmd_eval(args) -> int:
+    cfg, out, volume, masks, split, model = _restored(args)
     if not split["test"]:
         raise ConfigError("split has no test slices")
     report = evaluate_testset(model, volume, masks, split["test"],
@@ -218,8 +220,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_count(args) -> int:
-    cfg = _resolved(args)
-    _announce(cfg)
+    _resolved(args)  # checks the config and prints its digest, as every command does
     if args.dsl:
         path = Path(args.dsl)
         if not path.exists():
@@ -255,12 +256,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_export_masks(args) -> int:
-    cfg = _resolved(args)
-    _announce(cfg)
-    out, volume, masks, split = _load_prepared(cfg)
-    ckpt_path = args.checkpoint or (out / "checkpoint.ckpt")
-    model = restore_model(load_checkpoint(ckpt_path))
-    T.check_tile(model.spec, cfg["eval"]["tile_h"], cfg["eval"]["tile_w"], "eval")
+    cfg, out, volume, masks, split, model = _restored(args)
     mask_dir = out / "masks"
     mask_dir.mkdir(exist_ok=True)
     indices = split["test"] or split["val"]

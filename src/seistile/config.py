@@ -59,6 +59,7 @@ DEFAULTS: dict = {
 # fields that take null besides one type of value, and that type
 _NULLABLE = {"split.slice_limit": int, "split.test_count": int,
              "split.test_slices": list, "model.dsl_path": str}
+_MINIMUM = {"seed": 0, "split.slice_limit": 0, "split.test_count": 0}  # numpy takes no negative seed
 # a float field takes an int and keeps it as given; bool, an int to Python, is no number
 _TYPES = {int: (int, "an integer"), float: ((int, float), "a finite number"),
           str: (str, "a string"), list: (list, "a list")}
@@ -72,8 +73,8 @@ def _check(where: str, default, value) -> None:
             or isinstance(value, float) and not math.isfinite(value)):  # json reads NaN and Infinity
         null = " or null" if where in _NULLABLE else ""
         raise ConfigError(f"{where} must be {name}{null}, got {json.dumps(value, default=repr)}")
-    if where == "seed" and value < 0:  # numpy's generators take no negative seed
-        raise ConfigError(f"seed must be >= 0, got {value}")
+    if where in _MINIMUM and value < _MINIMUM[where]:
+        raise ConfigError(f"{where} must be >= {_MINIMUM[where]}, got {value}")
 
 
 def _merge(base: dict, override: dict, path: str = "", defaults: dict = DEFAULTS) -> dict:

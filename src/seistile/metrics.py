@@ -3,7 +3,8 @@
 The test protocol per image: break it into non-overlapping tiles, predict
 each tile's mask, unite the predictions, then score the reassembled mask
 against ground truth on the covered region (the residual border that does
-not fit a whole tile is excluded rather than padded).
+not fit a whole tile is excluded rather than padded). Every score, in
+evaluation and validation alike, is read off one confusion matrix per slice.
 
 One thread pool serves both levels of the work: evaluation, validation and
 export-masks predict one slice per worker through `predict_slice_masks`, and
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MaskVolume, TileConfig, Volume, cut_tiles, tile_grid, write_pgm
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, LabelError
 from .tensor import Tensor
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "miou_image",
     "mmiou",
     "confusion_matrix",
+    "score_masks",
     "ImageResult",
     "SegmentationReport",
     "evaluate_testset",
@@ -48,6 +50,8 @@ __all__ = [
     "report_to_csv",
     "export_mask_pgm",
 ]
+
+TILE_BATCH = 16  # most tiles in one inference forward of predict_slice_mask
 
 
 def worker_count() -> int:
@@ -145,15 +149,14 @@ def _pool_map(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def predict_slice_mask(model, image: np.ndarray, tile_h: int, tile_w: int,
-                       batch_size: int = 16) -> np.ndarray:
+def predict_slice_mask(model, image: np.ndarray, tile_h: int, tile_w: int) -> np.ndarray:
     """Reassembled class mask for one slice, u8, covering
     floor(H/tile_h)*tile_h x floor(W/tile_w)*tile_w pixels.
 
-    The T tiles run in ceil(T / batch_size) batches whose sizes differ by at
-    most one, so the batches depend on T and ``batch_size`` alone, never on
-    the thread count. Ties in the per-pixel argmax go to the lowest class
-    index; batch norm runs in inference mode.
+    The T tiles run in ceil(T / TILE_BATCH) batches whose sizes differ by at
+    most one, so the batches depend on T alone, never on the thread count.
+    Ties in the per-pixel argmax go to the lowest class index; batch norm
+    runs in inference mode.
     """
     cfg = TileConfig(tile_h, tile_w, overlap_fraction=0.0)
     rows, cols = tile_grid(*image.shape, cfg)
@@ -166,7 +169,7 @@ def predict_slice_mask(model, image: np.ndarray, tile_h: int, tile_w: int,
                               "masks; each tile side must survive the topology unchanged")
         return np.argmax(logits, axis=3).astype(np.uint8)
 
-    batches = np.array_split(tiles, -(-len(tiles) // batch_size))
+    batches = np.array_split(tiles, -(-len(tiles) // TILE_BATCH))
     classes = np.concatenate(_pool_map(classify, batches))
     return classes.reshape(rows, cols, tile_h, tile_w).swapaxes(1, 2).reshape(rows * tile_h, cols * tile_w)
 
@@ -176,46 +179,53 @@ def predict_slice_masks(model, images, tile_h: int, tile_w: int) -> list[np.ndar
     return _pool_map(lambda image: predict_slice_mask(model, image, tile_h, tile_w), images)
 
 
+def confusion_matrix(pred: np.ndarray, gt: np.ndarray, num_classes: int = 7) -> np.ndarray:
+    """Pixel counts indexed [gt_class, pred_class], from which every IOU is read."""
+    pred, gt = np.asarray(pred), np.asarray(gt)
+    if pred.shape != gt.shape:
+        raise DimensionError(f"pred {pred.shape} and gt {gt.shape} disagree")
+    for name, mask in (("pred", pred), ("gt", gt)):
+        if mask.size and not 0 <= mask.min() <= mask.max() < num_classes:  # it would count as another pair
+            raise LabelError(f"{name} holds classes {mask.min()}..{mask.max()}, outside [0, {num_classes})")
+    idx = gt.astype(np.int64).ravel() * num_classes + pred.astype(np.int64).ravel()
+    counts = np.bincount(idx, minlength=num_classes * num_classes)
+    return counts.reshape(num_classes, num_classes)
+
+
+def _ious(confusion: np.ndarray) -> np.ndarray:
+    hits = np.diag(confusion)
+    union = confusion.sum(axis=0) + confusion.sum(axis=1) - hits
+    return np.divide(hits, union, out=np.ones(len(hits)), where=union > 0)
+
+
 def iou_per_class(pred: np.ndarray, gt: np.ndarray, num_classes: int = 7) -> np.ndarray:
-    """IOU_c = |pred==c and gt==c| / |pred==c or gt==c|; empty union scores 1.
+    """IOU_c = |pred==c and gt==c| / |pred==c or gt==c|, read off the confusion
+    matrix as diag / (row + col - diag); empty union scores 1.
 
     The vacuous 1.0 keeps all-class averaging well defined on images where a
     class is absent and correctly predicted absent.
     """
-    pred, gt = np.asarray(pred), np.asarray(gt)
-    if pred.shape != gt.shape:
-        raise DimensionError(f"pred {pred.shape} and gt {gt.shape} disagree")
-    ious = np.empty(num_classes, dtype=np.float64)
-    for c in range(num_classes):
-        p, g = pred == c, gt == c
-        union = np.logical_or(p, g).sum()
-        ious[c] = 1.0 if union == 0 else np.logical_and(p, g).sum() / union
-    return ious
+    return _ious(confusion_matrix(pred, gt, num_classes))
 
 
 def miou_image(ious) -> float:
     ious = np.asarray(ious, dtype=np.float64)
     if ious.size == 0:
-        raise ContractError("mIOU of an empty IOU vector")
+        raise ContractError("mean of an empty IOU list")
     # fsum: correctly-rounded, so the mean is exactly permutation-invariant
     return math.fsum(ious) / ious.size
 
 
 def mmiou(mious) -> float:
-    mious = np.asarray(list(mious), dtype=np.float64)
-    if mious.size == 0:
-        raise ContractError("mmIOU of an empty image list")
-    return math.fsum(mious) / mious.size
+    return miou_image(list(mious))
 
 
-def confusion_matrix(pred: np.ndarray, gt: np.ndarray, num_classes: int = 7) -> np.ndarray:
-    """Pixel counts indexed [gt_class, pred_class]."""
-    pred, gt = np.asarray(pred), np.asarray(gt)
-    if pred.shape != gt.shape:
-        raise DimensionError(f"pred {pred.shape} and gt {gt.shape} disagree")
-    idx = gt.astype(np.int64).ravel() * num_classes + pred.astype(np.int64).ravel()
-    counts = np.bincount(idx, minlength=num_classes * num_classes)
-    return counts.reshape(num_classes, num_classes)
+def score_masks(preds, gts, num_classes: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-slice confusion matrices and IOUs of each predicted mask against its
+    ground truth, cropped to the region the prediction covers."""
+    confusions = [confusion_matrix(pred, gt[: pred.shape[0], : pred.shape[1]], num_classes)
+                  for pred, gt in zip(preds, gts)]
+    return confusions, [_ious(c) for c in confusions]
 
 
 @dataclass
@@ -253,21 +263,16 @@ def evaluate_testset(model, volume: Volume, masks: MaskVolume, test_indices,
     for i in test_indices:
         if not 0 <= i < volume.num_slices:
             raise ConfigError(f"test slice {i} outside volume with {volume.num_slices} slices")
-    num_classes = masks.num_classes
     preds = predict_slice_masks(model, [volume.slice(i) for i in test_indices], tile_h, tile_w)
-    images, confusion = [], np.zeros((num_classes, num_classes), dtype=np.int64)
-    for i, pred in zip(test_indices, preds):
-        gt = masks.slice(i)[: pred.shape[0], : pred.shape[1]]
-        ious = iou_per_class(pred, gt, num_classes)
-        images.append(ImageResult(index=i, ious=ious, miou=miou_image(ious)))
-        confusion += confusion_matrix(pred, gt, num_classes)
+    confusions, ious = score_masks(preds, [masks.slice(i) for i in test_indices], masks.num_classes)
+    images = [ImageResult(index=i, ious=v, miou=miou_image(v)) for i, v in zip(test_indices, ious)]
     return SegmentationReport(
         images=images,
-        mmiou=mmiou([r.miou for r in images]),
-        per_class_mean=np.stack([r.ious for r in images]).mean(axis=0),
-        confusion=confusion,
+        mmiou=mmiou(r.miou for r in images),
+        per_class_mean=np.stack(ious).mean(axis=0),
+        confusion=sum(confusions),
         coverage_h=preds[0].shape[0], coverage_w=preds[0].shape[1],  # every slice has one shape
-        num_classes=num_classes,
+        num_classes=masks.num_classes,
         tile_h=tile_h,
         tile_w=tile_w,
     )

@@ -238,8 +238,8 @@ def count_operations(spec: TopologySpec, input_h: int, input_w: int,
     return total
 
 
-def scale_widths(spec: TopologySpec, factor: float, name: str | None = None, minimum: int = 4) -> TopologySpec:
-    """Return a copy with every channel count scaled by ``factor``.
+def scale_widths(spec: TopologySpec, factor: float, name: str | None = None) -> TopologySpec:
+    """Return a copy with every channel count scaled by ``factor`` (4 at least).
 
     The classifier width is preserved. Useful for desk-scale variants of the
     presets.
@@ -249,7 +249,7 @@ def scale_widths(spec: TopologySpec, factor: float, name: str | None = None, min
         if layer.kind == "classifier":
             layers.append(layer)
         else:
-            n = max(minimum, int(round(layer.channels * factor)))
+            n = max(4, int(round(layer.channels * factor)))
             layers.append(LayerSpec(layer.kind, layer.kernel, layer.stride, n))
     return TopologySpec(name=name or f"{spec.name}-x{factor:g}", layers=tuple(layers),
                         input_channels=spec.input_channels)

@@ -240,6 +240,8 @@ MALFORMED = [
     ("train.lr_schedule", "5", "train.lr_schedule"),
     ("split.n_blocks", "abc", "split.n_blocks"),
     ("split.test_slices", "3", "split.test_slices"),
+    ("split.slice_limit", "-5", "split.slice_limit"),
+    ("split.test_count", "-3", "split.test_count"),
     ("data.clip_lo_pct", "x", "data.clip_lo_pct"),
     ("optimizer.decay", "false", "optimizer.decay"),
     ("model.width_scale", "null", "model.width_scale"),
@@ -309,6 +311,20 @@ def test_eval_tile_size_below_one_exits_1(tmp_path, capsys):
             assert main([command, "--config", str(cfg), "--checkpoint", str(ckpt),
                          "--set", f"eval.tile_h={tile_h}"]) == 1
             assert f"tile_h={tile_h}" in capsys.readouterr().err
+
+
+def test_checkpoint_with_another_class_count_exits_1_naming_both(tmp_path, capsys):
+    cfg, _ = _prepared_with_tiny_checkpoint(tmp_path)
+    nine = tmp_path / "nine.ckpt"
+    save_checkpoint(checkpoint_from_model(build_model(parse_topology("c3 s2 4\ntc3 s2 4\nout 9"), seed=0)), nine)
+    capsys.readouterr()
+    for command in ("eval", "export-masks"):
+        assert main([command, "--config", str(cfg), "--checkpoint", str(nine)]) == 1
+        err = capsys.readouterr().err
+        assert "emits 9 classes but masks have 7" in err
+        assert "Traceback" not in err
+    out = tmp_path / "out"
+    assert not any((out / name).exists() for name in ("report.json", "report.csv", "masks"))
 
 
 def test_directory_given_as_an_input_file_exits_2_naming_it(tmp_path, capsys):

@@ -15,7 +15,7 @@ from seistile.data import (
     preprocess_rescale,
     read_pgm,
 )
-from seistile.errors import ConfigError, ContractError, DimensionError
+from seistile.errors import ConfigError, ContractError, DimensionError, LabelError
 from seistile.metrics import (
     confusion_matrix,
     evaluate_testset,
@@ -140,6 +140,42 @@ def test_confusion_row_sums_are_gt_counts():
     assert cm.sum() == gt.size
 
 
+def _boolean_ious(pred, gt, num_classes):
+    """IOU by its definition: one pair of boolean masks per class."""
+    ious = np.empty(num_classes)
+    for c in range(num_classes):
+        p, g = pred == c, gt == c
+        union = np.logical_or(p, g).sum()
+        ious[c] = 1.0 if union == 0 else np.logical_and(p, g).sum() / union
+    return ious
+
+
+@pytest.mark.parametrize("num_classes", [2, 7, 9])
+@pytest.mark.parametrize("seed", range(4))
+def test_ious_off_the_confusion_matrix_equal_the_boolean_definition_bitwise(num_classes, seed):
+    rng = np.random.default_rng(seed)
+    present = rng.choice(num_classes, size=max(1, num_classes - seed), replace=False)  # some classes absent
+    gt = rng.choice(present, size=(48, 72)).astype(np.uint8)
+    pred = np.where(rng.random(gt.shape) < 0.7, gt, rng.choice(present, size=gt.shape)).astype(np.uint8)
+    got = iou_per_class(pred, gt, num_classes)
+    want = _boolean_ious(pred, gt, num_classes)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(confusion_matrix(pred, gt, num_classes).sum(axis=0),
+                                  np.bincount(pred.ravel(), minlength=num_classes))
+
+
+@pytest.mark.parametrize("pred, gt", [
+    ([[7, 7], [2, 3]], [[0, 1], [2, 3]]),  # would count as (gt 1, pred 0) and (gt 2, pred 0)
+    ([[0, 1], [2, 3]], [[0, 1], [2, 9]]),
+    ([[0, -1], [2, 3]], [[0, 1], [2, 3]]),
+])
+def test_class_outside_the_range_raises_label_error(pred, gt):
+    for score in (confusion_matrix, iou_per_class):
+        with pytest.raises(LabelError, match=r"outside \[0, 7\)"):
+            score(np.array(pred), np.array(gt), 7)
+
+
 # ---------------------------------------------------------------- reassembly
 
 def test_predict_slice_mask_oracle_reproduces_gt():
@@ -160,6 +196,8 @@ def test_predict_tiles_disjoint_and_exhaustive(monkeypatch):
     # a model that stamps a running tile counter proves each covered pixel
     # is written exactly once; the counter needs the batches in order
     monkeypatch.setenv("SEISTILE_THREADS", "1")
+    monkeypatch.setattr(metrics_mod, "TILE_BATCH", 2)
+
     class StampModel:
         dtype = np.float64
         count = 0
@@ -172,7 +210,7 @@ def test_predict_tiles_disjoint_and_exhaustive(monkeypatch):
             StampModel.count += n
             return Tensor(logits)
 
-    pred = predict_slice_mask(StampModel(), np.zeros((40, 60)), 20, 20, batch_size=2)
+    pred = predict_slice_mask(StampModel(), np.zeros((40, 60)), 20, 20)
     want = np.block([[np.full((20, 20), 0), np.full((20, 20), 1), np.full((20, 20), 2)],
                      [np.full((20, 20), 3), np.full((20, 20), 4), np.full((20, 20), 5)]])
     np.testing.assert_array_equal(pred, want)
@@ -182,8 +220,9 @@ def test_pooled_predict_puts_each_tile_at_its_origin(monkeypatch):
     # each tile carries its own index as its pixel value, so the check
     # holds whatever order the pooled batches run in
     monkeypatch.setenv("SEISTILE_THREADS", "2")
+    monkeypatch.setattr(metrics_mod, "TILE_BATCH", 2)
     want = np.block([[np.full((20, 20), 3 * row + col) for col in range(3)] for row in range(2)])
-    pred = predict_slice_mask(OracleModel(), want.astype(np.float64), 20, 20, batch_size=2)
+    pred = predict_slice_mask(OracleModel(), want.astype(np.float64), 20, 20)
     np.testing.assert_array_equal(pred, want)
 
 
@@ -206,7 +245,7 @@ class BatchRecordingModel(ConstantModel):
 def test_predict_splits_tiles_into_even_batches(monkeypatch, threads):
     monkeypatch.setenv("SEISTILE_THREADS", threads)
     model = BatchRecordingModel()
-    predict_slice_mask(model, np.zeros((40, 180)), 20, 20, batch_size=16)  # 18 tiles
+    predict_slice_mask(model, np.zeros((40, 180)), 20, 20)  # 18 tiles
     assert [size for _, size, _ in model.seen] == [9, 9]
 
 
@@ -355,7 +394,7 @@ def test_pooled_evaluation_runs_blas_single_threaded_then_restores(blas_threads,
 
 def test_predict_alone_runs_batches_on_workers_at_one_blas_thread_then_restores(blas_threads):
     model = BatchRecordingModel(blas_threads)
-    predict_slice_mask(model, np.zeros((40, 180)), 20, 20, batch_size=16)
+    predict_slice_mask(model, np.zeros((40, 180)), 20, 20)
     assert model.seen == [(False, 9, 1)] * 2
     assert blas_threads() == 2
 
@@ -436,8 +475,10 @@ def test_real_model_evaluation_is_bitwise_independent_of_the_thread_count(monkey
     runs, alone = [], []
     for threads in ("1", "2"):
         monkeypatch.setenv("SEISTILE_THREADS", threads)
-        # four tiles a slice in two batches, which run on the pool under 2 workers
-        alone.append([inner(model, volume.slice(i), 24, 32, batch_size=2) for i in range(3)])
+        with monkeypatch.context() as batches_of_two:
+            # four tiles a slice in two batches, which run on the pool under 2 workers
+            batches_of_two.setattr(metrics_mod, "TILE_BATCH", 2)
+            alone.append([inner(model, volume.slice(i), 24, 32) for i in range(3)])
         predicted = {}
 
         def keeping(model, image, *args, **kwargs):
