@@ -118,7 +118,7 @@ def save_segv(path, array: np.ndarray, meta: dict | None = None) -> None:
     header += np.array(arr.shape, dtype="<u4").tobytes()
     with atomic_open(path) as fh:
         fh.write(header)
-        fh.write(arr.astype(_DTYPES[code], copy=False).tobytes())
+        fh.write(arr.astype(_DTYPES[code], copy=False))  # the buffer itself: no copy
     if meta is not None:
         with atomic_open(str(path) + ".json", "w") as fh:
             fh.write(json.dumps(meta, indent=2, sort_keys=True))
@@ -272,6 +272,8 @@ class SplitConfig:
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.n_blocks < 1:
             raise ConfigError("n_blocks must be >= 1")
+        if self.slice_limit is not None and self.slice_limit < 0:
+            raise ConfigError(f"slice_limit must be >= 0, got {self.slice_limit}")
         for t in self.test_slices:
             if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
                 raise ConfigError(f"test slice {t!r} is not an integer")
@@ -466,8 +468,8 @@ class SynthConfig:
     texture_seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ConfigError("need at least 2 classes")
+        if not 2 <= self.num_classes <= 256:  # labels are u8
+            raise ConfigError(f"num_classes must lie in [2, 256], got {self.num_classes}")
         if self.slices < 1 or self.height < 2 * self.num_classes or self.width < 4:
             raise ConfigError("volume too small for the requested class count")
 
@@ -508,6 +510,13 @@ def generate_synthetic_volume(cfg: SynthConfig) -> tuple[Volume, MaskVolume]:
     columns; each band carries a distinct reflector texture (period,
     amplitude, noise). Labels are band indices, so along any column they are
     monotone non-decreasing.
+
+    Each band's texture is computed only on the rows it can occupy, from its
+    shallowest roof to its deepest floor. Its noise is drawn for the whole
+    volume all the same: the normal sampler takes a variable number of raw
+    draws, so the stream cannot skip to the next band without changing the
+    bytes a seed gives. The volume and masks are a pure function of ``cfg``,
+    the seed included.
     """
     rng = np.random.default_rng(cfg.texture_seed)
     s_count, h, w, c = cfg.slices, cfg.height, cfg.width, cfg.num_classes
@@ -516,32 +525,35 @@ def generate_synthetic_volume(cfg: SynthConfig) -> tuple[Volume, MaskVolume]:
     amp = cfg.horizon_waviness
     horizons = np.stack([nominal[k] + _smooth_field(rng, s_count, w, amp) for k in range(c - 1)])
 
-    depth = np.arange(h, dtype=np.float64)[None, :, None]  # 1 x H x 1
-    bounds = horizons[:, :, None, :]  # (c-1) x S x 1 x W
-    stacked = np.concatenate(
-        [np.zeros((1, s_count, 1, w)), bounds, np.full((1, s_count, 1, w), h)]
-    )
-    thickness = np.diff(stacked, axis=0)
-    if thickness.min() < 2.0:
+    tops = np.concatenate([np.zeros((1, s_count, w)), horizons])  # c x S x W
+    floors = np.concatenate([horizons, np.full((1, s_count, w), h)])
+    thinnest = (floors - tops).min()
+    if thinnest < 2.0:
         raise ConfigError(
-            f"band thickness fell to {thickness.min():.2f} px; lower horizon_waviness "
+            f"band thickness fell to {thinnest:.2f} px; lower horizon_waviness "
             f"or use fewer classes"
         )
-    labels = (depth >= bounds).sum(axis=0).astype(np.uint8)  # S x H x W
+    depth = np.arange(h, dtype=np.float64)[None, :, None]  # 1 x H x 1
+    labels = np.zeros((s_count, h, w), dtype=np.uint8)  # S x H x W; c <= 256 cannot wrap
+    for bound in horizons:
+        labels += depth >= bound[:, None, :]
 
     styles = [_BAND_STYLES[k % len(_BAND_STYLES)] for k in range(c)]
-    top = np.concatenate([np.zeros((1, s_count, 1, w)), bounds])  # c x S x 1 x W
-
     signal = np.zeros((s_count, h, w))
+    draws = np.empty((s_count, h, w))
     for k, (period, amplitude, dc, noise, jitter) in enumerate(styles):
         phase_wobble = _smooth_field(rng, s_count, w, jitter * np.pi)[:, None, :]
-        rel_depth = depth - top[k]  # reflectors hang off the band's own roof
+        rng.standard_normal(out=draws)
+        lo = max(math.floor(tops[k].min()), 0)
+        hi = min(math.ceil(floors[k].max()), h)
+        rel_depth = depth[:, lo:hi] - tops[k][:, None, :]  # reflectors hang off the band's own roof
         tex = dc + amplitude * np.sin(2 * np.pi * rel_depth / period + phase_wobble)
-        tex = tex + noise * rng.standard_normal((s_count, h, w))
-        signal = np.where(labels == k, tex, signal)
+        tex += noise * draws[:, lo:hi]
+        np.copyto(signal[:, lo:hi], tex, where=labels[:, lo:hi] == k)
 
+    signal *= 30000.0
     volume = Volume(
-        data=(signal * 30000.0).astype(np.float32),
+        data=signal.astype(np.float32),
         meta={"synthetic": True, "num_classes": c, "seed": cfg.texture_seed},
     )
     return volume, MaskVolume(data=labels, num_classes=c)

@@ -288,6 +288,14 @@ def test_negative_seed_flag_exits_1(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("waviness", [[], ["--set", "synth.horizon_waviness=0"]])
+def test_synth_with_more_classes_than_u8_labels_hold_exits_1(tmp_path, monkeypatch, capsys, waviness):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--set", "synth.num_classes=300", "--set", "synth.height=600", *waviness]) == 1
+    assert "num_classes must lie in [2, 256], got 300" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _tiny_checkpoint(path, seed=0):
     """A 7-class checkpoint of total stride 2 for eval and export-masks."""
     save_checkpoint(checkpoint_from_model(build_model(parse_topology("c3 s2 4\ntc3 s2 4\nout 7"), seed=seed)), path)

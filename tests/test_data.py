@@ -28,6 +28,7 @@ from seistile.data import (
     tile_volume,
     write_pgm,
 )
+from seistile.data import _BAND_STYLES, _smooth_field  # shared with the reference generator
 from seistile.errors import ConfigError, ContractError, CorruptionError, FormatError
 
 from oracles import enumerate_tile_origins, sort_percentile
@@ -57,11 +58,12 @@ def test_segv_expected_payload_size(tmp_path):
 
 @pytest.mark.parametrize("dtype, code", [("<f4", 0), ("u1", 1)])
 def test_segv_bytes_are_the_documented_layout(tmp_path, dtype, code):
-    data = np.arange(24).reshape(2, 3, 4).astype(dtype)
-    path = tmp_path / "v.segv"
-    save_segv(path, data)
-    expected = b"SEGV1\n" + bytes([code, 3]) + struct.pack("<3I", 2, 3, 4) + data.tobytes()
-    assert path.read_bytes() == expected
+    whole = np.arange(48).reshape(2, 6, 4).astype(dtype)
+    for arr in (whole, whole[:, ::2], whole.transpose(2, 0, 1)):  # strided views go out row-major
+        path = tmp_path / "v.segv"
+        save_segv(path, arr)
+        expected = b"SEGV1\n" + bytes([code, 3]) + struct.pack("<3I", *arr.shape) + arr.tobytes()
+        assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize("dtype", ["<f8", ">f4", "i1", "?"])
@@ -257,6 +259,12 @@ def test_split_limit_too_large_is_config_error():
         split_blocks(10, SplitConfig(n_blocks=2, slice_limit=8))
 
 
+def test_split_negative_slice_limit_is_config_error():
+    with pytest.raises(ConfigError, match="slice_limit must be >= 0, got -5"):
+        split_blocks(20, SplitConfig(n_blocks=2, slice_limit=-5))
+    assert split_blocks(20, SplitConfig(n_blocks=2, slice_limit=0))["train"] == []
+
+
 @pytest.mark.parametrize("bad", ["3", 3.0, True])
 def test_split_test_slices_must_be_integers(bad):
     assert SplitConfig(test_slices=(np.int64(3), 4)).test_slices[0] == 3
@@ -439,3 +447,52 @@ def test_synthetic_thin_band_rejected():
     with pytest.raises(ConfigError):
         generate_synthetic_volume(SynthConfig(slices=2, height=16, width=32, num_classes=7,
                                               horizon_waviness=100.0))
+
+
+def test_synthetic_class_count_is_capped_at_what_u8_labels_hold():
+    _, masks = generate_synthetic_volume(SynthConfig(slices=1, height=600, width=4, num_classes=256,
+                                                     horizon_waviness=0.0))
+    assert set(np.unique(masks.data)) == set(range(256))
+    for bad in (1, 257, 300):
+        with pytest.raises(ConfigError, match=f"num_classes must lie in \\[2, 256\\], got {bad}"):
+            SynthConfig(height=600, num_classes=bad, horizon_waviness=0.0)
+
+
+def _reference_synthetic_volume(cfg):
+    """The generator's arithmetic done band by band over the whole volume, each
+    band's texture kept through np.where: the bytes the generator must match."""
+    rng = np.random.default_rng(cfg.texture_seed)
+    s_count, h, w, c = cfg.slices, cfg.height, cfg.width, cfg.num_classes
+    nominal = [h * (k + 1) / c for k in range(c - 1)]
+    horizons = np.stack([nominal[k] + _smooth_field(rng, s_count, w, cfg.horizon_waviness)
+                         for k in range(c - 1)])
+    depth = np.arange(h, dtype=np.float64)[None, :, None]
+    bounds = horizons[:, :, None, :]
+    labels = (depth >= bounds).sum(axis=0).astype(np.uint8)
+    top = np.concatenate([np.zeros((1, s_count, 1, w)), bounds])
+    signal = np.zeros((s_count, h, w))
+    for k in range(c):
+        period, amplitude, dc, noise, jitter = _BAND_STYLES[k % len(_BAND_STYLES)]
+        phase_wobble = _smooth_field(rng, s_count, w, jitter * np.pi)[:, None, :]
+        tex = dc + amplitude * np.sin(2 * np.pi * (depth - top[k]) / period + phase_wobble)
+        tex = tex + noise * rng.standard_normal((s_count, h, w))
+        signal = np.where(labels == k, tex, signal)
+    return (signal * 30000.0).astype(np.float32), labels
+
+
+@pytest.mark.parametrize("seed", [0, 5, 71])
+@pytest.mark.parametrize("shape", [
+    dict(slices=2, height=120, width=300, num_classes=8, horizon_waviness=5.0),  # survey-like
+    dict(slices=16, height=160, width=240, num_classes=7),  # the quick start's slices
+    dict(slices=3, height=80, width=64, num_classes=5, horizon_waviness=0.0),
+    dict(slices=2, height=40, width=37, num_classes=10, horizon_waviness=0.9),  # bands near 2 px
+    dict(slices=1, height=60, width=50, num_classes=4),
+    dict(slices=4, height=60, width=4, num_classes=3),
+])
+def test_synthetic_bytes_match_the_whole_volume_reference(shape, seed):
+    cfg = SynthConfig(**shape, texture_seed=seed)
+    vol, masks = generate_synthetic_volume(cfg)
+    ref_data, ref_labels = _reference_synthetic_volume(cfg)
+    assert vol.data.dtype == ref_data.dtype and masks.data.dtype == ref_labels.dtype
+    assert vol.data.tobytes() == ref_data.tobytes()
+    assert masks.data.tobytes() == ref_labels.tobytes()
