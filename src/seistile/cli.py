@@ -22,7 +22,7 @@ import numpy as np
 from . import data as D
 from . import topology as T
 from .config import apply_overrides, config_digest, load_config, resolve_config
-from .errors import ConfigError, DivergenceError, FormatError, SeistileError
+from .errors import ConfigError, FormatError, ParseError, SeistileError, TopologyError
 from .metrics import evaluate_testset, export_mask_pgm, predict_slice_masks, report_to_csv, report_to_json
 from .network import build_model
 from .train import (
@@ -51,16 +51,22 @@ def _resolved(args) -> dict:
     return cfg
 
 
+def _read_dsl(path, source: str) -> T.TopologySpec:
+    """The topology in the DSL file at ``path``, which the config key or flag ``source`` names."""
+    path = Path(path)
+    try:
+        return T.parse_topology(path.read_text(encoding="utf-8"), name=path.stem)
+    except (OSError, UnicodeDecodeError, ParseError, TopologyError) as err:
+        raise ConfigError(f"{source} {path}: {err}") from None
+
+
 def _model_spec(cfg: dict) -> T.TopologySpec:
     m = cfg["model"]
     scale = m["width_scale"]
     if scale <= 0:
         raise ConfigError(f"model.width_scale must be > 0, got {scale}")
     if m["dsl_path"]:
-        path = Path(m["dsl_path"])
-        if not path.exists():
-            raise ConfigError(f"model.dsl_path {path} does not exist")
-        spec = T.parse_topology(path.read_text(), name=path.stem)
+        spec = _read_dsl(m["dsl_path"], "model.dsl_path")
     else:
         spec = T.preset(m["preset"])
     if scale != 1.0:
@@ -158,8 +164,6 @@ def cmd_train(args) -> int:
     cfg = _resolved(args)
     out, volume, masks, split = _load_prepared(cfg)
     tiles = D.TileSet.load(out / "tiles_train")
-    if len(tiles) == 0:
-        raise ConfigError("prepared training tile set is empty")
 
     spec = _model_spec(cfg)
     T.check_tile(spec, tiles.tile_h, tiles.tile_w, "tiles")
@@ -176,18 +180,9 @@ def cmd_train(args) -> int:
         print(f"epoch {row['epoch']:3d} loss={row['loss']:.4f}{val} lr={row['lr']:g}",
               file=sys.stderr)
 
-    try:
-        best, _ = train(model, tiles, val_data, train_cfg, opt_cfg,
-                        log_path=out / "log.csv", checkpoint_path=out / "checkpoint.ckpt",
-                        progress=progress)
-    except DivergenceError as err:
-        if err.checkpoint is not None:
-            from .train import save_checkpoint
-
-            save_checkpoint(err.checkpoint, out / "checkpoint.ckpt")
-            print(f"diverged; last good checkpoint kept at {out / 'checkpoint.ckpt'}",
-                  file=sys.stderr)
-        raise
+    best, _ = train(model, tiles, val_data, train_cfg, opt_cfg,
+                    log_path=out / "log.csv", checkpoint_path=out / "checkpoint.ckpt",
+                    progress=progress)
     print(f"best epoch {best.epoch} val_miou={best.val_miou:.4f} -> {out / 'checkpoint.ckpt'}")
     return 0
 
@@ -222,10 +217,7 @@ def cmd_eval(args) -> int:
 def cmd_count(args) -> int:
     _resolved(args)  # checks the config and prints its digest, as every command does
     if args.dsl:
-        path = Path(args.dsl)
-        if not path.exists():
-            raise ConfigError(f"DSL file {path} does not exist")
-        specs = [T.parse_topology(path.read_text(), name=path.stem)]
+        specs = [_read_dsl(args.dsl, "--dsl")]
     elif args.preset:
         specs = [T.preset(args.preset)]
     else:

@@ -387,10 +387,11 @@ class TileSet:
         sidecar = stem + ".json"
         try:
             header = json.loads(Path(sidecar).read_text())
-            prov = np.array(
-                [[t["slice"], t["row"], t["col"]] for t in header["tiles"]], dtype=np.int32
-            ).reshape(-1, 3)
+            rows = [[t["slice"], t["row"], t["col"]] for t in header["tiles"]]
             tile_h, tile_w = header["tile_h"], header["tile_w"]
+            if not all(type(v) is int for v in [tile_h, tile_w, *(v for row in rows for v in row)]):
+                raise TypeError("tile sizes and provenance fields must be integers")
+            prov = np.array(rows, dtype=np.int32).reshape(-1, 3)
         except (KeyError, TypeError, ValueError, OverflowError) as err:  # ValueError covers JSON and UTF-8 decoding
             raise FormatError(f"{sidecar}: malformed tile sidecar ({type(err).__name__}: {err})") from None
         if images.dtype != np.float32 or masks.dtype != np.uint8:

@@ -61,9 +61,6 @@ class DegenerateBatchError(SeistileError):
 class DivergenceError(SeistileError):
     """Training produced non-finite values.
 
-    Carries the last good checkpoint (if any) in ``checkpoint``.
+    ``train`` has by then written its best checkpoint so far, if any epoch
+    finished, to its checkpoint path.
     """
-
-    def __init__(self, message, checkpoint=None):
-        super().__init__(message)
-        self.checkpoint = checkpoint

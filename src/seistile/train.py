@@ -5,6 +5,7 @@ the binary checkpoint container.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 import time
@@ -189,6 +190,21 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(blob)
 
 
+# the JSON type of each header field and of each field of a tensor's directory entry
+_STRING, _INT = (lambda v: isinstance(v, str), "a string"), (_is_int, "an integer")
+_HEADER_TYPES = {"topology": _STRING, "epoch": _INT,
+                 "val_miou": (lambda v: v is None or _is_int(v) or isinstance(v, float), "a number or null")}
+_TENSOR_TYPES = {"name": _STRING, "kind": _STRING, "offset": _INT, "nbytes": _INT,
+                 "shape": (lambda v: isinstance(v, list) and all(_is_int(d) and d >= 0 for d in v),
+                           "a list of integers >= 0")}
+
+
+def _check_types(doc: dict, types: dict, path, where: str) -> None:
+    for key, (ok, wanted) in types.items():
+        if not ok(doc[key]):
+            raise FormatError(f"{path}: checkpoint {where}{key!r} is {doc[key]!r}, not {wanted}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint. Files written before checkpoints dropped the
     optimizer state still load: their ``opt_ms``/``opt_mom`` tensors are
@@ -208,8 +224,10 @@ def load_checkpoint(path) -> Checkpoint:
     }
     try:
         header = json.loads(blob[start : start + header_len].decode())
+        _check_types(header, _HEADER_TYPES, path, "")
         end = 0  # each tensor starts where the previous one ends
-        for entry in header["tensors"]:
+        for i, entry in enumerate(header["tensors"]):
+            _check_types(entry, _TENSOR_TYPES, path, f"tensor {i} ")
             if entry["offset"] != end:
                 raise CorruptionError(f"{path}: tensor {entry['name']} starts at payload byte "
                                       f"{entry['offset']}, not where the previous one ends ({end})")
@@ -233,36 +251,30 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: malformed checkpoint header ({type(err).__name__}: {err})") from None
 
 
-def _stored_tensor(stored: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
-    """The checkpoint's tensor for one model slot, which must have its shape:
-    a reshape would scramble a tensor of the right size but another shape."""
-    if name not in stored:
-        raise FormatError(f"checkpoint does not match topology; missing tensor {name}")
-    if stored[name].shape != shape:
-        raise FormatError(f"checkpoint tensor {name} has shape {stored[name].shape}, "
-                          f"the topology needs {shape}")
-    return stored[name]
-
-
-def restore_model(ckpt: Checkpoint, name: str = "restored") -> Model:
+def restore_model(ckpt: Checkpoint) -> Model:
     """Rebuild the model a checkpoint describes; forward passes reproduce
     the saved model bitwise (checkpoints are f32)."""
     try:
-        spec = parse_topology(ckpt.topology_text, name=name)
+        spec = parse_topology(ckpt.topology_text, name="restored")
     except (ParseError, TopologyError) as err:  # the text is data read from the file
         raise FormatError(f"checkpoint stores an invalid topology: {err}") from None
     stored = sum(a.size for a in ckpt.params.values())
     if stored != count_parameters(spec):  # checked before building: the text may ask for any size
         raise FormatError(f"checkpoint holds {stored} parameters, its topology needs {count_parameters(spec)}")
     model = build_model(spec, seed=0, dtype=np.float32)
-    expected = {n for n, _, _ in model.parameters()}
-    if expected != set(ckpt.params):
-        missing = expected ^ set(ckpt.params)
-        raise FormatError(f"checkpoint does not match topology; mismatched tensors: {sorted(missing)[:4]}")
-    for pname, t, _ in model.parameters():
-        t.data = _stored_tensor(ckpt.params, pname, t.data.shape).astype(np.float32)
-    for bname, arr in model.buffers():
-        arr[...] = _stored_tensor(ckpt.buffers, bname, arr.shape)
+    params = [(name, t.data) for name, t, _ in model.parameters()]
+    # DNCKPT1 fixes each section's tensor names, order and shapes: one ordered comparison checks them all
+    for kind, tensors, slots in (("parameter", ckpt.params, params), ("buffer", ckpt.buffers, model.buffers())):
+        have = [(name, arr.shape) for name, arr in tensors.items()]
+        need = [(name, arr.shape) for name, arr in slots]
+        for i, (got, wanted) in enumerate(itertools.zip_longest(have, need)):
+            if got != wanted:
+                raise FormatError(f"checkpoint does not match topology: {kind} {i} is {got or 'missing'}, "
+                                  f"the topology needs {wanted or 'nothing'}")
+    for (_, t, _), arr in zip(model.parameters(), ckpt.params.values()):
+        t.data = arr.astype(np.float32)
+    for (_, buf), arr in zip(model.buffers(), ckpt.buffers.values()):
+        buf[...] = arr
     return model
 
 
@@ -289,9 +301,11 @@ def train(model: Model, train_tiles: TileSet, val_data, cfg: TrainConfig,
 
     ``val_data`` is a sequence of (image, mask) slice pairs; validation
     reassembles full slices with batch norm frozen. The checkpoint with the
-    highest validation mIOU is retained (earliest epoch wins ties). On
-    divergence it is attached to the raised error; before the first
-    validation, the last finished epoch's unscored checkpoint is attached.
+    highest validation mIOU is retained (earliest epoch wins ties). Until the
+    first validation, the last finished epoch's checkpoint is retained,
+    unscored (``val_miou`` NaN). The retained checkpoint is written to
+    ``checkpoint_path`` each time it changes, so a run that diverges, is
+    interrupted or is killed leaves its best epoch so far on disk.
     """
     if len(train_tiles) == 0:
         raise ConfigError("empty training tile set")
@@ -302,7 +316,6 @@ def train(model: Model, train_tiles: TileSet, val_data, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     optimizer = RMSProp(model.parameters(), opt_cfg)
     best: Checkpoint | None = None
-    validated = False  # until the first validation, best is the last finished epoch
     log_rows: list[dict] = []
     n = len(train_tiles)
     if log_path is not None:
@@ -313,36 +326,32 @@ def train(model: Model, train_tiles: TileSet, val_data, cfg: TrainConfig,
         lr = lr_at_epoch(epoch, cfg)
         order = rng.permutation(n)
         loss_sum = 0.0
-        try:
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                x, labels = _batch_tensors(train_tiles, idx, model.dtype)
-                model.zero_grads()
-                with recording() as tape:
-                    logits = model.forward(x, train=True)
-                    loss = softmax_cross_entropy(logits, labels)
-                loss_value = loss.data.item()
-                if not np.isfinite(loss_value):
-                    raise DivergenceError(f"loss became {loss_value} at epoch {epoch}")
-                backward(loss, tape)
-                optimizer.step(lr)
-                loss_sum += loss_value * len(idx)
-        except DivergenceError as err:
-            err.checkpoint = best
-            raise
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            x, labels = _batch_tensors(train_tiles, idx, model.dtype)
+            model.zero_grads()
+            with recording() as tape:
+                logits = model.forward(x, train=True)
+                loss = softmax_cross_entropy(logits, labels)
+            loss_value = loss.data.item()
+            if not np.isfinite(loss_value):
+                raise DivergenceError(f"loss became {loss_value} at epoch {epoch}")
+            backward(loss, tape)
+            optimizer.step(lr)
+            loss_sum += loss_value * len(idx)
         mean_loss = loss_sum / n
 
-        val_miou = None
+        val_miou = float("nan")  # unscored
         if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.max_epochs - 1:
             val_miou = _validation_miou(model, val_data, tile_h, tile_w)
-            if not validated or val_miou > best.val_miou:
-                best = checkpoint_from_model(model, epoch=epoch, val_miou=val_miou)
-            validated = True
-        elif not validated:
-            best = checkpoint_from_model(model, epoch=epoch)
+        # an unscored best gives way to every later epoch, a scored one only to a higher score
+        if best is None or np.isnan(best.val_miou) or val_miou > best.val_miou:
+            best = checkpoint_from_model(model, epoch=epoch, val_miou=val_miou)
+            if checkpoint_path is not None:
+                save_checkpoint(best, checkpoint_path)
 
         row = {"epoch": epoch, "loss": mean_loss,
-               "val_miou": val_miou, "lr": lr,
+               "val_miou": None if np.isnan(val_miou) else val_miou, "lr": lr,
                "seconds": time.perf_counter() - t0}
         log_rows.append(row)
         if log_path is not None:  # one row per epoch, so a divergence keeps the rows before it
@@ -351,9 +360,6 @@ def train(model: Model, train_tiles: TileSet, val_data, cfg: TrainConfig,
         if progress is not None:
             progress(row)
 
-    assert validated  # max_epochs >= 1 and the final epoch always validates
-    if checkpoint_path is not None:
-        save_checkpoint(best, checkpoint_path)
     return best, log_rows
 
 

@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import seistile.train as train_mod
 from seistile import cli, errors
 from seistile.cli import main
 from seistile.data import TileSet, load_masks, load_segv, load_volume
 from seistile.network import build_model
 from seistile.topology import parse_topology, preset, scale_widths
-from seistile.train import Checkpoint, checkpoint_from_model, save_checkpoint
+from seistile.train import Checkpoint, checkpoint_from_model, load_checkpoint, save_checkpoint
 
 
 def desk_config(tmp_path, **tweaks):
@@ -470,3 +471,42 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     test = json.loads((run / "split.json").read_text())["test"]
     assert [image["index"] for image in json.loads((run / "report.json").read_text())["images"]] == test
     assert len(list((run / "masks").glob("*.pgm"))) == 2 * len(test)
+
+
+def test_train_whose_loss_goes_nan_exits_3_and_keeps_the_last_good_checkpoint(tmp_path, capsys, monkeypatch):
+    cfg = desk_config(tmp_path, **{"train.batch_size": 1000, "train.max_epochs": 4})  # one batch an epoch
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    calls = iter(range(100))
+    real_loss = train_mod.softmax_cross_entropy
+
+    def loss_fn(logits, labels):  # loss call k is epoch k
+        loss = real_loss(logits, labels)
+        if next(calls) == 2:
+            loss.data = np.full_like(loss.data, np.nan)
+        return loss
+
+    monkeypatch.setattr(train_mod, "softmax_cross_entropy", loss_fn)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "error: loss became nan at epoch 2" in err
+    scores = [float(row.split(",")[2]) for row in (tmp_path / "out" / "log.csv").read_text().splitlines()[1:]]
+    assert len(scores) == 2  # epochs 0 and 1 finished and were validated
+    ckpt = load_checkpoint(tmp_path / "out" / "checkpoint.ckpt")
+    assert ckpt.epoch == scores.index(max(scores))
+    assert round(ckpt.val_miou, 6) == max(scores)
+
+
+@pytest.mark.parametrize("flag", ["--dsl", "model.dsl_path"])
+def test_dsl_file_that_is_not_utf8_exits_1_naming_its_source(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.dsl"
+    bad.write_bytes(b"c3 s2 4\n\xfftc3 s2 4\nout 7\n")
+    if flag == "--dsl":
+        argv = ["count", "--dsl", str(bad)]
+    else:  # prepare reads the model's DSL before anything else
+        argv = ["prepare", "--set", f"model.dsl_path={bad}", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag} {bad}: 'utf-8' codec can't decode byte 0xff" in err
+    assert "Traceback" not in err

@@ -2,9 +2,10 @@
 
 Each reader gets a small valid file, then many broken copies of it:
 truncation at every header boundary, flipped header bytes, a bad dtype
-code and huge extents. Every case must end as ``seistile`` would end it
-inside a command: exit 2 for a data file, exit 1 for the config, or exit 0
-where a flip leaves a valid file. No case may raise anything else (which
+code, huge extents and, in JSON, values of another type. Every case must
+end as ``seistile`` would end it inside a command: exit 2 for a data file,
+exit 1 for the config or a topology DSL file, or exit 0 where a mutation
+leaves a valid file. No case may raise anything else (which
 would reach the user as a traceback) or allocate more than a few MB.
 """
 
@@ -16,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seistile.cli import _load_prepared
+from seistile.cli import _load_prepared, _read_dsl
 from seistile.config import load_config
 from seistile.data import (
     MaskVolume,
@@ -99,9 +100,48 @@ def _numbers_replaced(text):
             for m in re.finditer(rb"\d+", text) for new in (b"9" * 20, b"-1")]
 
 
+def _replaced(doc, path, value):
+    """A copy of JSON ``doc`` with the value at ``path`` (a list of keys and indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _types_swapped(text):
+    """Copies of JSON ``text`` with one value, of any object or among the
+    first two items of any list, replaced by a value of another type."""
+    doc, out = json.loads(text), []
+
+    def walk(node, path):
+        children = node.items() if isinstance(node, dict) else enumerate(node[:2]) if isinstance(node, list) else ()
+        for key, value in children:
+            for new in ["x", 1.5, True, None, [], {}] + ([float(value)] if type(value) is int else []):
+                out.append(json.dumps(_replaced(doc, path + [key], new)).encode())
+            walk(value, path + [key])
+
+    walk(doc, [])
+    return out
+
+
 def _json_cases(blob, rng, must_fail, may_pass):
     must_fail += [blob[:end] for end in range(len(blob))]
-    may_pass += _flips(blob, (0, len(blob)), rng) + _numbers_replaced(blob)
+    may_pass += _flips(blob, (0, len(blob)), rng) + _numbers_replaced(blob) + _types_swapped(blob)
+
+
+def _tile_sidecar_cases(blob, rng, must_fail, may_pass):
+    _json_cases(blob, rng, must_fail, may_pass)
+    doc = json.loads(blob)
+    must_fail += [json.dumps(_replaced(doc, ["tile_h"], float(doc["tile_h"]))).encode(),
+                  json.dumps(_replaced(doc, ["tiles", 0, "slice"], 1.5)).encode()]
+
+
+def _dsl_cases(blob, rng, must_fail, may_pass):
+    must_fail += [blob[:pos] + b"\xff" + blob[pos:] for pos in (0, len(blob) // 2, len(blob))]
+    may_pass += [blob[:end] for end in range(len(blob))]  # a prefix of whole lines is a valid topology
+    may_pass += _flips(blob, (0, len(blob)), rng)
 
 
 def _ckpt_cases(blob, rng, must_fail, may_pass):
@@ -123,14 +163,17 @@ def _ckpt_cases(blob, rng, must_fail, may_pass):
     must_fail += [blob[:end] for end in ends]
     must_fail += [blob[:magic] + struct.pack("<I", 0xFFFFFFFF) + blob[start:]]
     for key, value in (("shape", [1 << 31, 1 << 31]), ("nbytes", 1 << 62), ("offset", 1 << 62),
-                       ("shape", [3, 3, 1, 4, 1]), ("kind", "weights"), ("name", "layer9.conv.kernel")):
+                       ("shape", [3, 3, 1, 4, 1]), ("kind", "weights"), ("name", "layer9.conv.kernel"),
+                       ("name", 1.5)):
         must_fail.append(rebuilt(lambda doc: doc["tensors"][0].__setitem__(key, value)))
-    must_fail.append(rebuilt(lambda doc: doc.__setitem__("topology", "c3 s2 4\nru 99999\ntc3 s2 4\nout 7")))
+    for topology in ("c3 s2 4\nru 99999\ntc3 s2 4\nout 7", 5):
+        must_fail.append(rebuilt(lambda doc: doc.__setitem__("topology", topology)))
     _, bias, gamma = header["tensors"][:3]  # the bias and gamma of layer0 are both 4 floats
     for offset in (-bias["nbytes"], gamma["offset"]):  # read from the payload's end; share gamma's bytes
         must_fail.append(rebuilt(lambda doc: doc["tensors"][1].__setitem__("offset", offset)))
     may_pass += _flips(blob, (0, start + header_len), rng)
     may_pass += [with_header(text) for text in _numbers_replaced(blob[start : start + header_len])]
+    may_pass += [with_header(text) for text in _types_swapped(blob[start : start + header_len])]
 
 
 def _pgm_cases(blob, rng, must_fail, may_pass):
@@ -154,6 +197,7 @@ def files(tmp_path_factory):
     model = build_model(parse_topology("c3 s2 4\ntc3 s2 4\nout 7"), seed=0)
     save_checkpoint(checkpoint_from_model(model), d / "model.ckpt")
     tile_volume(volume, masks, [0, 1], TileConfig(8, 8, 0.0)).save(d / "tiles_train")
+    (d / "net.dsl").write_text("c3 s2 4\ntc3 s2 4\nout 7\n")
     (d / "split.json").write_text(json.dumps({"train": [0, 1], "val": [2], "test": [3]}))
     (d / "run.json").write_text(json.dumps({"seed": 3, "tiles": {"tile_h": 24, "tile_w": 32},
                                             "train": {"lr_schedule": [[0, 0.01]]}}))
@@ -170,9 +214,10 @@ READERS = {
     "checkpoint": ("model.ckpt", lambda d: restore_model(load_checkpoint(d / "model.ckpt")), _ckpt_cases, 2),
     "tileset-images": ("tiles_train.images.segv", lambda d: TileSet.load(d / "tiles_train"), _segv_cases, 2),
     "tileset-masks": ("tiles_train.masks.segv", lambda d: TileSet.load(d / "tiles_train"), _segv_cases, 2),
-    "tileset-sidecar": ("tiles_train.json", lambda d: TileSet.load(d / "tiles_train"), _json_cases, 2),
+    "tileset-sidecar": ("tiles_train.json", lambda d: TileSet.load(d / "tiles_train"), _tile_sidecar_cases, 2),
     "split": ("split.json", lambda d: _load_prepared({"data": {"out_dir": str(d)}}), _json_cases, 2),
     "config": ("run.json", lambda d: load_config(d / "run.json"), _json_cases, 1),
+    "dsl": ("net.dsl", lambda d: _read_dsl(d / "net.dsl", "--dsl"), _dsl_cases, 1),
 }
 
 

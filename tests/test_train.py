@@ -373,7 +373,8 @@ def test_corrupt_checkpoint_raises_format_error(tmp_path, case, error):
 
 @pytest.mark.parametrize("case", [
     "parameter of the wrong size", "buffer of the wrong size", "missing buffer", "unparsable topology",
-    "parameter of the right size but the wrong shape",
+    "parameter of the right size but the wrong shape", "extra buffer", "two tensors swapped in order",
+    "tensor name that is not a string",
 ])
 def test_checkpoint_that_does_not_fit_its_topology_is_format_error(case):
     ckpt = checkpoint_from_model(build_model(parse_topology(TINY_DSL, name="tiny"), seed=0, dtype=np.float32))
@@ -386,6 +387,14 @@ def test_checkpoint_that_does_not_fit_its_topology_is_format_error(case):
     elif case == "parameter of the right size but the wrong shape":
         kernel = ckpt.params["layer0.conv.kernel"]  # 3 x 3 x 1 x 6
         ckpt.params["layer0.conv.kernel"] = np.ascontiguousarray(kernel.transpose(0, 1, 3, 2))
+    elif case == "extra buffer":
+        ckpt.buffers["layer9.bn.running_mean"] = np.zeros(6, dtype=np.float32)
+    elif case == "two tensors swapped in order":
+        names = list(ckpt.params)
+        names[1], names[2] = names[2], names[1]  # layer0.conv.bias and layer0.bn.gamma: both 6 floats
+        ckpt.params = {name: ckpt.params[name] for name in names}
+    elif case == "tensor name that is not a string":
+        ckpt.params = {7 if name == "layer0.conv.bias" else name: a for name, a in ckpt.params.items()}
     else:
         ckpt.topology_text = "c3 s2 6\nfrobnicate 12\n"
     with pytest.raises(FormatError):
@@ -451,18 +460,19 @@ def test_bn_running_stats_update_in_train_frozen_in_validation():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_preserves_checkpoint():
+def test_divergence_preserves_checkpoint(tmp_path):
     vol, masks, tiles = tiny_tiles()
     spec = parse_topology(TINY_DSL, name="tiny")
     model = build_model(spec, seed=4, dtype=np.float64)
     # poison one kernel after epoch 0 via a huge lr jump
     cfg = TrainConfig(batch_size=8, max_epochs=4, seed=0,
                       lr_schedule=((0, 1e-3), (1, 1e300)))
-    with pytest.raises(DivergenceError) as excinfo:
-        train(model, tiles, _val_pairs(vol, masks, [2]), cfg, OptimizerConfig())
-    ckpt = excinfo.value.checkpoint
-    assert ckpt is not None
+    path = tmp_path / "checkpoint.ckpt"
+    with pytest.raises(DivergenceError):
+        train(model, tiles, _val_pairs(vol, masks, [2]), cfg, OptimizerConfig(), checkpoint_path=path)
+    ckpt = load_checkpoint(path)
     assert ckpt.epoch == 0  # the completed epoch
+    assert not np.isnan(ckpt.val_miou)
 
 
 def test_partial_final_batch_kept(monkeypatch):
@@ -535,21 +545,49 @@ def test_divergence_leaves_the_log_rows_of_the_finished_epochs(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("diverging_epoch", [0, 1, 2])
-def test_divergence_before_the_first_validation_attaches_the_last_epoch(monkeypatch, diverging_epoch):
+def test_divergence_before_the_first_validation_keeps_the_last_epoch(tmp_path, monkeypatch, diverging_epoch):
     vol, masks, tiles = tiny_tiles()
     model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=6, dtype=np.float32)
+    path = tmp_path / "checkpoint.ckpt"
+    earlier = checkpoint_from_model(build_model(parse_topology(TINY_DSL, name="tiny"), seed=7), epoch=9, val_miou=0.5)
+    save_checkpoint(earlier, path)  # a file from an earlier run
+    before = path.read_bytes()
     _nan_loss_in_epoch(monkeypatch, diverging_epoch)
-    with pytest.raises(DivergenceError) as excinfo:
+    with pytest.raises(DivergenceError):
         train(model, tiles, _val_pairs(vol, masks, [2]),
-              TrainConfig(batch_size=len(tiles), max_epochs=4, eval_every=3, seed=3), OptimizerConfig())
-    ckpt = excinfo.value.checkpoint
+              TrainConfig(batch_size=len(tiles), max_epochs=4, eval_every=3, seed=3), OptimizerConfig(),
+              checkpoint_path=path)
     if diverging_epoch == 0:
-        assert ckpt is None
+        assert path.read_bytes() == before  # no epoch finished, so nothing was written
         return
+    ckpt = load_checkpoint(path)
     assert ckpt.epoch == diverging_epoch - 1 and np.isnan(ckpt.val_miou)
     # the non-finite loss stops the epoch before its only step: the model is the checkpoint's
     for name, t, _ in model.parameters():
         assert np.array_equal(ckpt.params[name], t.data)
+
+
+def test_interrupted_run_keeps_the_best_validated_epoch_on_disk(tmp_path, monkeypatch):
+    vol, masks, tiles = tiny_tiles()
+    model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=6, dtype=np.float32)
+    scores = iter([0.5, 0.9, 0.7])
+    monkeypatch.setattr(train_mod, "_validation_miou", lambda *a, **k: next(scores))
+    calls = iter(range(100))
+    real_loss = train_mod.softmax_cross_entropy
+
+    def loss_fn(logits, labels):  # one batch per epoch, so call k is epoch k
+        if next(calls) == 3:
+            raise KeyboardInterrupt
+        return real_loss(logits, labels)
+
+    monkeypatch.setattr(train_mod, "softmax_cross_entropy", loss_fn)
+    path = tmp_path / "checkpoint.ckpt"
+    with pytest.raises(KeyboardInterrupt):
+        train(model, tiles, _val_pairs(vol, masks, [2]),
+              TrainConfig(batch_size=len(tiles), max_epochs=10, seed=3), OptimizerConfig(),
+              checkpoint_path=path)
+    ckpt = load_checkpoint(path)
+    assert (ckpt.epoch, ckpt.val_miou) == (1, 0.9)
 
 
 def test_training_copies_the_model_only_when_it_improves(monkeypatch):
