@@ -7,7 +7,7 @@ resource table, ``export-masks`` writes predicted masks as PGM images, and
 ``config --defaults`` dumps the full default configuration.
 
 Exit codes: 0 success, 1 configuration error, 2 data/format error,
-3 runtime failure.
+3 runtime failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -175,15 +175,23 @@ def cmd_train(args) -> int:
     opt_cfg = OptimizerConfig(**cfg["optimizer"])
     val_data = [(volume.slice(i), masks.slice(i)) for i in split["val"]]
 
+    finished = []  # epochs done; train has saved its best checkpoint before reporting one
+
     def progress(row):
+        finished.append(row["epoch"])
         val = "" if row["val_miou"] is None else f" val_miou={row['val_miou']:.4f}"
         print(f"epoch {row['epoch']:3d} loss={row['loss']:.4f}{val} lr={row['lr']:g}",
               file=sys.stderr)
 
-    best, _ = train(model, tiles, val_data, train_cfg, opt_cfg,
-                    log_path=out / "log.csv", checkpoint_path=out / "checkpoint.ckpt",
-                    progress=progress)
-    print(f"best epoch {best.epoch} val_miou={best.val_miou:.4f} -> {out / 'checkpoint.ckpt'}")
+    ckpt_path = out / "checkpoint.ckpt"
+    try:
+        best, _ = train(model, tiles, val_data, train_cfg, opt_cfg,
+                        log_path=out / "log.csv", checkpoint_path=ckpt_path, progress=progress)
+    except KeyboardInterrupt:
+        kept = (f"{ckpt_path} holds the best of the {len(finished)} finished epochs" if finished
+                else "no epoch finished, so no checkpoint was written")
+        raise KeyboardInterrupt(kept) from None
+    print(f"best epoch {best.epoch} val_miou={best.val_miou:.4f} -> {ckpt_path}")
     return 0
 
 
@@ -322,6 +330,9 @@ def main(argv=None) -> int:
     except (SeistileError, OSError) as err:  # an OSError's text names its path
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, OSError) else err.exit_code
+    except KeyboardInterrupt as err:  # one line, not a traceback; 130 is the shell's 128 + SIGINT
+        print(f"interrupted: {err}" if str(err) else "interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

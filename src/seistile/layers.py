@@ -90,32 +90,41 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int)
         yield slice(lo, lo + step), cols[lo : lo + step].reshape(-1, kh * kw * xp.shape[3])
 
 
-def _correlate(xp: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride: int, out: np.ndarray) -> None:
-    """out[n, i, j] = xp[n, i*s : i*s+kh, j*s : j*s+kw].ravel() @ kmat; out is C-contiguous."""
-    for part, cols in _im2col(xp, kh, kw, stride, out.shape[1], out.shape[2]):
-        np.matmul(cols, kmat, out=out[part].reshape(-1, out.shape[3]))
+def _correlate(xp: np.ndarray, kh: int, kw: int, stride: int, kmat: np.ndarray,
+               out: np.ndarray | None, g: np.ndarray | None = None) -> np.ndarray | None:
+    """One walk over the im2col chunks of xp feeding up to two GEMMs per chunk.
+
+    With ``out``, out[n, i, j] = xp[n, i*s : i*s+kh, j*s : j*s+kw].ravel() @ kmat
+    (out is C-contiguous). With ``g``, co-shaped with such an output, returns
+    the (Kh*Kw*C) x B kernel gradient, summed chunk by chunk in a fixed order.
+    """
+    gk = None if g is None else np.zeros((kh * kw * xp.shape[3], g.shape[3]), np.result_type(xp, g))
+    hout, wout = (g if out is None else out).shape[1:3]
+    for part, cols in _im2col(xp, kh, kw, stride, hout, wout):
+        if out is not None:
+            np.matmul(cols, kmat, out=out[part].reshape(-1, out.shape[3]))
+        if gk is not None:
+            gk += cols.T @ g[part].reshape(-1, g.shape[3])
+    return gk
 
 
-def _conv_forward(x: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
+def _conv_fine(x: np.ndarray, kernel: np.ndarray, stride: int, forward: bool = True,
+               g: np.ndarray | None = None):
+    """The walks that start from the fine plane x: (x convolved with kernel if
+    ``forward``, else None; the kernel gradient against the coarse-side ``g``
+    if given, else None). Asked for both, one walk feeds both GEMMs."""
     n, h, w, _ = x.shape
     kh, kw, _, cout = kernel.shape
     xp = _pad_nhwc(x, half_padding(h, kh, stride), half_padding(w, kw, stride))
-    out = np.empty((n, conv_out_size(h, stride), conv_out_size(w, stride), cout), np.result_type(x, kernel))
-    _correlate(xp, kernel.reshape(-1, cout), kh, kw, stride, out)
-    return out
-
-
-def _conv_kernel_grad(x: np.ndarray, g: np.ndarray, stride: int, kh: int, kw: int) -> np.ndarray:
-    h, w, cin = x.shape[1:]
-    xp = _pad_nhwc(x, half_padding(h, kh, stride), half_padding(w, kw, stride))
-    gk = np.zeros((kh * kw * cin, g.shape[3]), np.result_type(x, g))
-    for part, cols in _im2col(xp, kh, kw, stride, g.shape[1], g.shape[2]):  # fixed summation order
-        gk += cols.T @ g[part].reshape(-1, g.shape[3])
-    return gk.reshape(kh, kw, cin, g.shape[3])
+    y = None
+    if forward:
+        y = np.empty((n, conv_out_size(h, stride), conv_out_size(w, stride), cout), np.result_type(x, kernel))
+    gk = _correlate(xp, kh, kw, stride, kernel.reshape(-1, cout), y, g)
+    return y, None if gk is None else gk.reshape(kernel.shape)
 
 
 def _conv_adjoint(g: np.ndarray, kernel: np.ndarray, s: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of _conv_forward onto an H x W plane, gathered phase by phase."""
+    """Adjoint of the _conv_fine forward onto an H x W plane, gathered phase by phase."""
     n, ho, wo, _ = g.shape
     kh, kw, cin, _ = kernel.shape
     pt, pl = half_padding(h, kh, s)[0], half_padding(w, kw, s)[0]
@@ -127,14 +136,17 @@ def _conv_adjoint(g: np.ndarray, kernel: np.ndarray, s: int, h: int, w: int) -> 
         sub = kernel[a::s, b::s][::-1, ::-1].transpose(0, 1, 3, 2)  # flipped, channel-swapped
         ta, tb = sub.shape[:2]
         if ta and tb:  # a phase without taps (k < s) stays zero
-            _correlate(gp[:, c + th - ta :, d + tw - tb :], sub.reshape(-1, cin), ta, tb, 1, out[e, f])
-    return out.transpose(2, 3, 0, 4, 1, 5).reshape(n, ho * s, wo * s, cin)[:, :h, :w]
+            _correlate(gp[:, c + th - ta :, d + tw - tb :], ta, tb, 1, sub.reshape(-1, cin), out[e, f])
+    # contiguous even when cropped: a slot holds this array as it is, and reductions read it
+    return np.ascontiguousarray(out.transpose(2, 3, 0, 4, 1, 5).reshape(n, ho * s, wo * s, cin)[:, :h, :w])
 
 
 def _conv(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, transposed: bool) -> Tensor:
     """The one body of ``conv2d`` and ``conv2d_transposed``: each runs one of
-    ``_conv_forward``/``_conv_adjoint`` forward and the other for the input
-    gradient, and both read the kernel gradient off the fine side first."""
+    ``_conv_fine``/``_conv_adjoint`` forward and the other for the input
+    gradient, and both read the kernel gradient off the fine side. The
+    transposed backward's fine side is ``g``, so one walk of ``g`` gives
+    both its input and its kernel gradient."""
     op = "conv2d_transposed" if transposed else "conv2d"
     if x.data.ndim != 4:
         raise DimensionError(f"{op} expects NHWC input, got shape {x.shape}")
@@ -147,19 +159,23 @@ def _conv(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, transpose
         raise DimensionError(f"{op}: bias shape {bias.shape} != ({cout},)")
 
     h, w = x.shape[1], x.shape[2]
-    fine = (h * stride, w * stride) if transposed else (h, w)  # the fine side's plane
-    coarsen_refine = (lambda a: _conv_forward(a, kernel.data, stride),
-                      lambda a: _conv_adjoint(a, kernel.data, stride, *fine))
-    along, against = coarsen_refine[::-1] if transposed else coarsen_refine
-    y = along(x.data)
+    if transposed:
+        y = _conv_adjoint(x.data, kernel.data, stride, h * stride, w * stride)
+    else:
+        y = _conv_fine(x.data, kernel.data, stride)[0]
     if bias is not None:
         y += bias.data  # y is freshly allocated by the engine
     out = Tensor(y)
 
     def backward_fn(g):
-        gx = against(g) if x.requires_grad else None
-        fine_side, coarse_side = (g, x.data) if transposed else (x.data, g)
-        gk = _conv_kernel_grad(fine_side, coarse_side, stride, *kernel.shape[:2]) if kernel.requires_grad else None
+        need_gx, need_gk = x.requires_grad, kernel.requires_grad
+        gx = gk = None
+        if transposed:
+            if need_gx or need_gk:
+                gx, gk = _conv_fine(g, kernel.data, stride, need_gx, x.data if need_gk else None)
+        else:
+            gx = _conv_adjoint(g, kernel.data, stride, h, w) if need_gx else None
+            gk = _conv_fine(x.data, kernel.data, stride, False, g)[1] if need_gk else None
         gb = np.einsum("ijkl->l", g) if bias is not None and bias.requires_grad else None
         return (gx, gk, gb) if bias is not None else (gx, gk)
 

@@ -10,6 +10,14 @@ slot. :func:`backward` replays the records in reverse and frees each one,
 and the gradient it carried, as soon as its rule has run; ``grad`` is set
 on leaves only, as in PyTorch's autograd.
 
+Gradient ownership: a backward rule returns fresh arrays or its own ``g``,
+which no one else holds once its slot has handed it over, and may change
+``g`` in place. An empty slot takes a returned array without copying it; a
+slot that already holds one adds into it. ``backward`` copies only an array
+a rule returns a second time and an array of another dtype than the slot's,
+so no two slots or leaves ever share a gradient array. ``relu`` keeps no
+mask: its rule reads its own output, which the next op keeps anyway.
+
 Conventions: activations are N x H x W x C, kernels Kh x Kw x Cin x Cout.
 There is no broadcasting beyond tensor-vs-scalar.
 """
@@ -50,8 +58,9 @@ class _Node:
         self.grad: np.ndarray | None = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Take ``g`` into an empty slot without a copy, or add it into the held array."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.dtype, copy=True)
+            self.grad = np.asarray(g, dtype=self.dtype)
         else:
             self.grad += g
 
@@ -228,9 +237,9 @@ def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(np.maximum(a.data, 0))
     if active_tape() is None or not a.requires_grad:
-        return out  # nothing will record the rule, so build no mask
-    mask = a.data > 0
-    return record_op(out, (a,), lambda g: (g * mask,))
+        return out  # nothing will record the rule
+    y = out.data  # y > 0 exactly where a > 0: the rule reads the output and the tape keeps no mask
+    return record_op(out, (a,), lambda g: (np.multiply(g, y > 0, out=g),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -273,7 +282,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
         g, rec.out.grad = rec.out.grad, None
         if g is None:
             continue
-        for t, gi in zip(rec.inputs, rec.backward_fn(g)):
+        grads = list(rec.backward_fn(g))
+        for i, gi in enumerate(grads):  # a repeated array is copied before any slot adds into it
+            if gi is not None and any(gi is seen for seen in grads[:i]):
+                grads[i] = gi.copy()
+        for t, gi in zip(rec.inputs, grads):
             if gi is not None and t.requires_grad:
                 t.accumulate_grad(gi)
 

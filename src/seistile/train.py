@@ -92,44 +92,63 @@ def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:
     return lr
 
 
+# elements per RMSProp update chunk: two rows of this length are all the
+# scratch the optimizer holds, whatever the model's size
+_STEP_CHUNK = 1 << 16
+
+
 class RMSProp:
     """Per element: g += wd*w (kernels only); ms = d*ms + (1-d)*g^2;
-    mom = m*mom + lr*g/sqrt(ms + eps); w -= mom."""
+    mom = m*mom + lr*g/sqrt(ms + eps); w -= mom.
+
+    ``step`` walks each parameter's flat view in chunks of ``_STEP_CHUNK``
+    elements through two scratch rows per dtype, so the optimizer holds
+    ``ms``, ``mom`` and those rows and nothing parameter-sized besides. An
+    element's result does not depend on the chunk it falls in: every chunk
+    runs the same ufuncs in the same order."""
 
     def __init__(self, params, cfg: OptimizerConfig):
         # params: iterable of (name, Tensor, weight_decay_eligible)
         self.cfg = cfg
         self.params = [(name, t, bool(decay)) for name, t, decay in params]
-        self.ms = {name: np.zeros_like(t.data) for name, t, _ in self.params}
-        self.mom = {name: np.zeros_like(t.data) for name, t, _ in self.params}
-        self._scratch = {name: np.empty_like(t.data) for name, t, _ in self.params}
+        self.ms = {name: np.zeros_like(t.data, order="C") for name, t, _ in self.params}
+        self.mom = {name: np.zeros_like(t.data, order="C") for name, t, _ in self.params}
+        self._rows = {dt: np.empty((2, _STEP_CHUNK), dt) for dt in {t.dtype for _, t, _ in self.params}}
         self.step_count = 0
 
     def step(self, lr: float) -> None:
-        """One update in place. The operations and their order are those of
-        the class docstring, so results match its direct form bitwise."""
+        """One update in place. Every gradient is checked before any
+        parameter moves, so a ``DivergenceError`` leaves the parameters, ``ms``
+        and ``mom`` as they were. The operations and their order are those
+        of the class docstring, so results match its direct form bitwise."""
         cfg = self.cfg
+        for name, tensor, _ in self.params:
+            if tensor.grad is not None and not np.isfinite(tensor.grad).all():
+                raise DivergenceError(f"non-finite gradient in {name} at step {self.step_count + 1}")
         self.step_count += 1
         for name, tensor, decays in self.params:
-            g = tensor.grad
-            if g is None:
+            if tensor.grad is None:
                 continue
-            if not np.isfinite(g).all():
-                raise DivergenceError(f"non-finite gradient in {name} at step {self.step_count}")
-            buf = self._scratch[name]
-            if decays and cfg.weight_decay:
-                g = np.add(g, np.multiply(tensor.data, cfg.weight_decay, out=buf), out=buf)
-            ms = self.ms[name]
-            ms *= cfg.decay
-            tmp = np.multiply(g, 1.0 - cfg.decay)
-            tmp *= g
-            ms += tmp
-            mom = self.mom[name]
-            mom *= cfg.momentum
-            np.multiply(g, lr, out=tmp)
-            tmp /= np.sqrt(np.add(ms, cfg.epsilon, out=buf), out=buf)  # g is dead: buf is free
-            mom += tmp
-            tensor.data -= mom
+            if not tensor.data.flags.c_contiguous:  # the flat view below must alias the parameter
+                tensor.data = np.ascontiguousarray(tensor.data)
+            w, grad = tensor.data.reshape(-1), tensor.grad.reshape(-1)
+            ms, mom = self.ms[name].reshape(-1), self.mom[name].reshape(-1)
+            rows = self._rows[tensor.dtype]
+            for lo in range(0, w.size, _STEP_CHUNK):
+                part = slice(lo, lo + _STEP_CHUNK)
+                wc, g, msc, momc = w[part], grad[part], ms[part], mom[part]
+                a, tmp = rows[:, : len(wc)]
+                if decays and cfg.weight_decay:
+                    g = np.add(g, np.multiply(wc, cfg.weight_decay, out=a), out=a)
+                msc *= cfg.decay
+                np.multiply(g, 1.0 - cfg.decay, out=tmp)
+                tmp *= g
+                msc += tmp
+                momc *= cfg.momentum
+                np.multiply(g, lr, out=tmp)
+                tmp /= np.sqrt(np.add(msc, cfg.epsilon, out=a), out=a)  # g is dead: a is free
+                momc += tmp
+                wc -= momc
 
 
 # ------------------------------------------------------------- checkpointing

@@ -510,3 +510,42 @@ def test_dsl_file_that_is_not_utf8_exits_1_naming_its_source(tmp_path, capsys, f
     err = capsys.readouterr().err
     assert f"error: {flag} {bad}: 'utf-8' codec can't decode byte 0xff" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("interrupted_epoch", [0, 2])
+def test_ctrl_c_during_train_exits_130_with_one_line_naming_the_kept_checkpoint(tmp_path, capsys, monkeypatch,
+                                                                                interrupted_epoch):
+    cfg = desk_config(tmp_path, **{"train.batch_size": 1000, "train.max_epochs": 4})  # one batch an epoch
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    calls = iter(range(100))
+    real_loss = train_mod.softmax_cross_entropy
+
+    def loss_fn(logits, labels):  # loss call k is epoch k
+        if next(calls) == interrupted_epoch:
+            raise KeyboardInterrupt
+        return real_loss(logits, labels)
+
+    monkeypatch.setattr(train_mod, "softmax_cross_entropy", loss_fn)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 130
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert [line for line in err.splitlines() if "interrupted" in line] == [last]
+    path = tmp_path / "out" / "checkpoint.ckpt"
+    if interrupted_epoch == 0:
+        assert last == "interrupted: no epoch finished, so no checkpoint was written"
+        assert not path.exists()
+    else:
+        assert last == f"interrupted: {path} holds the best of the 2 finished epochs"
+        assert load_checkpoint(path).epoch in (0, 1)
+
+
+def test_ctrl_c_in_any_command_exits_130_without_a_traceback(monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_config", interrupted)
+    assert main(["config", "--defaults"]) == 130
+    assert capsys.readouterr().err == "interrupted\n"

@@ -11,8 +11,9 @@ from seistile.layers import (
     conv2d,
     softmax_cross_entropy,
 )
-from seistile.network import _residual_unit
+from seistile.network import _residual_unit, build_model
 from seistile.tensor import Tensor, add, backward, grad_check, mul, recording, relu, tensor_sum
+from seistile.topology import preset, scale_widths
 
 
 # ---------------------------------------------------------------- batch norm
@@ -245,6 +246,19 @@ def test_recorded_unit_forward_frees_outputs_no_backward_rule_reads(monkeypatch)
     assert tape.records == []
     for name, t, _ in unit.parameters():
         assert t.grad is not None and t.grad.shape == t.shape and np.isfinite(t.grad).all(), name
+
+
+def test_recorded_forward_keeps_no_bool_mask():
+    # relu's rule reads its output, which the next convolution keeps anyway
+    spec = scale_widths(preset("danet-fcn2"), 0.1)
+    model = build_model(spec, seed=4, dtype=np.float32)
+    x = Tensor(np.random.default_rng(4).normal(size=(2, 16, 24, 1)).astype(np.float32))
+    with recording() as tape:
+        model.forward(x, train=True)
+    kept = [cell.cell_contents for rec in tape.records for cell in rec.backward_fn.__closure__ or ()]
+    arrays = [v.data if isinstance(v, Tensor) else v for v in kept]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert arrays and all(a.dtype != np.bool_ for a in arrays)
 
 
 @pytest.mark.parametrize("transposed", [False, True])

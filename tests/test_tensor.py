@@ -5,6 +5,7 @@ import pytest
 
 import seistile.tensor as tensor_mod
 from seistile.errors import ContractError, DimensionError
+from seistile.network import _residual_unit
 from seistile.tensor import (
     Tensor,
     add,
@@ -12,6 +13,7 @@ from seistile.tensor import (
     grad_check,
     matmul,
     mul,
+    record_op,
     recording,
     relu,
     scale,
@@ -222,3 +224,89 @@ def test_worker_thread_forward_does_not_record_on_callers_tape():
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(lambda: relu(add(x, x))).result(timeout=10)
         assert len(tape) == 1
+
+
+# ------------------------------------------------------- gradient hand-offs
+
+
+def _copying_accumulate(self, g):
+    """The hand-off that copies every gradient: the reference for the bits."""
+    if self.grad is None:
+        self.grad = np.array(g, dtype=self.dtype, copy=True)
+    else:
+        self.grad += g
+
+
+def _assert_distinct(arrays):
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+def _leaf_grads(build, leaves, monkeypatch, copying):
+    """Leaf gradients of the scalar ``build()``; checks before every rule
+    runs that no two live slots or leaves share a gradient array."""
+    with monkeypatch.context() as m:
+        if copying:
+            m.setattr(tensor_mod._Node, "accumulate_grad", _copying_accumulate)
+            m.setattr(tensor_mod.Tensor, "accumulate_grad", _copying_accumulate)
+        for t in leaves:
+            t.zero_grad()
+        with recording() as tape:
+            loss = build()
+
+        def checked(rule):
+            def run(g):
+                holders = {id(h): h for rec in tape.records for h in (rec.out, *rec.inputs)}
+                holders.update((id(t), t) for t in leaves)
+                _assert_distinct([h.grad for h in holders.values() if h.grad is not None] + [g])
+                return rule(g)
+            return run
+
+        for rec in tape.records:
+            rec.backward_fn = checked(rec.backward_fn)
+        backward(loss, tape)
+    grads = [t.grad for t in leaves]
+    _assert_distinct(grads)
+    return grads
+
+
+def _thrice(a, b):
+    """A rule that returns its own g three times, twice to one input."""
+    return record_op(Tensor(a.data + a.data + b.data), (a, a, b), lambda g: (g, g, g))
+
+
+@pytest.mark.parametrize("case", ["add_self", "leaf_feeds_two_ops", "sub_pass_through", "same_g_thrice"])
+def test_gradient_hand_offs_match_copying_ones_and_share_no_array(monkeypatch, case):
+    rng = np.random.default_rng(31)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    c = Tensor(rng.normal(size=(3, 4)))
+    build = {
+        "add_self": lambda: tensor_sum(mul(add(a, a), c)),
+        "leaf_feeds_two_ops": lambda: tensor_sum(mul(add(relu(a), scale(a, 3.0)), c)),
+        "sub_pass_through": lambda: tensor_sum(mul(sub(scale(a, 2.0), relu(b)), c)),
+        "same_g_thrice": lambda: tensor_sum(mul(relu(_thrice(a, b)), c)),
+    }[case]
+    got = _leaf_grads(build, [a, b], monkeypatch, copying=False)
+    want = _leaf_grads(build, [a, b], monkeypatch, copying=True)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    if case == "same_g_thrice":  # d/da of relu(2a + b) is twice d/db
+        np.testing.assert_array_equal(got[0], 2.0 * got[1])
+
+
+def test_identity_shortcut_unit_gradients_match_copying_hand_offs(monkeypatch):
+    rng = np.random.default_rng(32)
+    unit = _residual_unit(rng, cin=3, cout=3, stride=1, k=3, dtype=np.float32, transposed=False)
+    assert unit.shortcut is None  # the input's slot takes the sum's gradient and then the conv's
+    x = Tensor(rng.normal(size=(2, 6, 5, 3)).astype(np.float32), requires_grad=True)
+    c = Tensor(rng.normal(size=(2, 6, 5, 3)).astype(np.float32))
+    leaves = [x] + [t for _, t, _ in unit.parameters()]
+    build = lambda: tensor_sum(mul(unit.forward(x, train=True), c))  # noqa: E731
+    got = _leaf_grads(build, leaves, monkeypatch, copying=False)
+    want = _leaf_grads(build, leaves, monkeypatch, copying=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

@@ -50,9 +50,10 @@ def test_rmsprop_hand_recurrence():
 def test_rmsprop_in_place_step_bitwise_matches_recurrence(weight_decay):
     rng = np.random.default_rng(5)
     cfg = OptimizerConfig(weight_decay=weight_decay)
-    shapes = {"k": (3, 3, 4, 5), "b": (5,)}
+    # "big" spans more than one update chunk and ends in a partial one
+    shapes = {"k": (3, 3, 4, 5), "b": (5,), "big": (3, train_mod._STEP_CHUNK // 2 + 3)}
     params = {n: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for n, s in shapes.items()}
-    opt = RMSProp([(n, t, n == "k") for n, t in params.items()], cfg)
+    opt = RMSProp([(n, t, n != "b") for n, t in params.items()], cfg)
     w = {n: t.data.copy() for n, t in params.items()}
     ms = {n: np.zeros_like(a) for n, a in w.items()}
     mom = {n: np.zeros_like(a) for n, a in w.items()}
@@ -61,7 +62,7 @@ def test_rmsprop_in_place_step_bitwise_matches_recurrence(weight_decay):
         for n, t in params.items():
             g = rng.normal(size=t.shape).astype(np.float32)
             t.grad = g.copy()
-            if n == "k" and weight_decay:
+            if n != "b" and weight_decay:
                 g = g + cfg.weight_decay * w[n]
             ms[n] = cfg.decay * ms[n] + (1.0 - cfg.decay) * g * g
             mom[n] = cfg.momentum * mom[n] + lr * g / np.sqrt(ms[n] + cfg.epsilon)
@@ -141,6 +142,26 @@ def test_rmsprop_rejects_non_finite_grads():
     w.grad = np.array([np.nan])
     with pytest.raises(DivergenceError, match="layer3.kernel"):
         opt.step(0.01)
+
+
+def test_rmsprop_divergence_leaves_every_parameter_and_state_as_it_was():
+    rng = np.random.default_rng(8)
+    params = {n: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+              for n, s in (("layer0.kernel", (3, 3, 1, 4)), ("layer0.bias", (4,)), ("layer1.kernel", (3, 3, 4, 2)))}
+    opt = RMSProp([(n, t, n.endswith("kernel")) for n, t in params.items()], OptimizerConfig())
+    for t in params.values():
+        t.grad = rng.normal(size=t.shape).astype(np.float32)
+    opt.step(0.01)  # ms and mom are no longer zero
+    before = {n: (t.data.copy(), opt.ms[n].copy(), opt.mom[n].copy()) for n, t in params.items()}
+    for t in params.values():
+        t.grad = rng.normal(size=t.shape).astype(np.float32)
+    params["layer1.kernel"].grad[1, 2, 3, 0] = np.inf  # the last parameter's gradient is bad
+    with pytest.raises(DivergenceError, match="layer1.kernel at step 2"):
+        opt.step(0.01)
+    for n, t in params.items():
+        for now, then in zip((t.data, opt.ms[n], opt.mom[n]), before[n]):
+            np.testing.assert_array_equal(now, then)
+    assert opt.step_count == 1
 
 
 def test_optimizer_config_validation():
