@@ -150,18 +150,20 @@ def _load_prepared(cfg: dict):
     volume = D.load_volume(out / "volume_proc.segv")
     masks = D.load_masks(out / "masks_merged.segv")
     path = out / "split.json"
+    doc = D.read_json(path.read_bytes(), path, "split")
     try:
-        doc = json.loads(path.read_text())
         split = {part: doc[part] for part in ("train", "val", "test")}
-        if not all(type(i) is int and 0 <= i < volume.num_slices for part in split.values() for i in part):
+        if not all(D.is_int(i) and 0 <= i < volume.num_slices for part in split.values() for i in part):
             raise ValueError(f"slice indices must be integers in [0, {volume.num_slices})")
-    except (KeyError, TypeError, ValueError) as err:  # ValueError covers JSON and UTF-8 decoding
+    except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"{path}: malformed split ({type(err).__name__}: {err})") from None
     return out, volume, masks, split
 
 
 def cmd_train(args) -> int:
     cfg = _resolved(args)
+    train_cfg = TrainConfig(**cfg["train"], seed=cfg["seed"] + SEED_SHUFFLE)  # checked before any file is touched
+    opt_cfg = OptimizerConfig(**cfg["optimizer"])
     out, volume, masks, split = _load_prepared(cfg)
     tiles = D.TileSet.load(out / "tiles_train")
 
@@ -171,8 +173,6 @@ def cmd_train(args) -> int:
         raise ConfigError(f"model emits {spec.num_classes} classes but masks have {masks.num_classes}")
     model = build_model(spec, seed=cfg["seed"] + SEED_BUILD, dtype=np.float32,
                         bn_eps=cfg["model"]["bn_eps"], bn_momentum=cfg["model"]["bn_momentum"])
-    train_cfg = TrainConfig(**cfg["train"], seed=cfg["seed"] + SEED_SHUFFLE)
-    opt_cfg = OptimizerConfig(**cfg["optimizer"])
     val_data = [(volume.slice(i), masks.slice(i)) for i in split["val"]]
 
     finished = []  # epochs done; train has saved its best checkpoint before reporting one

@@ -15,6 +15,7 @@ import json
 import math
 from pathlib import Path
 
+from .data import JSON_MAX_DEPTH, json_depth, read_json
 from .errors import ConfigError
 
 __all__ = ["DEFAULTS", "load_config", "resolve_config", "apply_overrides", "config_digest"]
@@ -100,13 +101,7 @@ def load_config(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    try:
-        doc = json.loads(path.read_bytes().decode())
-    except ValueError as e:  # covers JSON and UTF-8 decoding
-        raise ConfigError(f"{path}: invalid JSON ({e})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    return resolve_config(doc)
+    return resolve_config(read_json(path.read_bytes(), path, "config", ConfigError))
 
 
 def resolve_config(partial: dict | None = None) -> dict:
@@ -123,8 +118,12 @@ def apply_overrides(config: dict, assignments) -> dict:
         dotted, raw = assignment.split("=", 1)
         try:
             value = json.loads(raw)
+            if json_depth(value) > JSON_MAX_DEPTH:  # as read_json refuses it in a file
+                raise RecursionError
         except json.JSONDecodeError:
             value = raw  # bare strings are convenient on the command line
+        except RecursionError:
+            raise ConfigError(f"override {dotted}: value nested more than {JSON_MAX_DEPTH} levels deep") from None
         *sections, leaf = dotted.split(".")
         node = partial
         for key in sections:

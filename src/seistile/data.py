@@ -2,8 +2,8 @@
 
 Volumes are stacks of 2-D slices: data[s, h, w] with s the slice index,
 h the depth row and w the trace column. Binary storage uses the SEGV
-container (see save_segv/load_segv); single slices round-trip through
-binary PGM for eyeballing.
+container (see save_segv/load_segv); single slices export as binary PGM
+for eyeballing. Every JSON file is read through ``read_json``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ __all__ = [
     "TileSet",
     "SynthConfig",
     "atomic_open",
+    "json_depth",
+    "read_json",
+    "is_int",
     "save_segv",
     "load_segv",
     "load_volume",
@@ -35,7 +38,6 @@ __all__ = [
     "save_volume",
     "save_masks",
     "write_pgm",
-    "read_pgm",
     "preprocess_rescale",
     "split_blocks",
     "default_test_slices",
@@ -99,6 +101,40 @@ def atomic_open(path, mode: str = "wb"):
         raise
 
 
+# ------------------------------------------------------------ JSON readers
+
+
+JSON_MAX_DEPTH = 100  # far past any file seistile writes, far below what copy.deepcopy and repr survive
+
+
+def json_depth(value) -> int:
+    """Levels of lists and objects in a parsed JSON value, counted without recursion."""
+    depth, level = 0, [value]
+    while level := [node for node in level if isinstance(node, (dict, list))]:
+        depth += 1
+        level = [v for node in level for v in (node.values() if isinstance(node, dict) else node)]
+    return depth
+
+
+def read_json(raw: bytes, where, what: str, error=FormatError) -> dict:
+    """The JSON object that ``raw`` holds as UTF-8, the one way a file's JSON is
+    parsed; anything else raises ``error`` worded ``<where>: malformed <what> (...)``."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+        if not isinstance(doc, dict):
+            raise TypeError(f"top level is a JSON {type(doc).__name__}, not an object")
+        if json_depth(doc) > JSON_MAX_DEPTH:  # json.loads itself gives up near 1,000 levels
+            raise RecursionError(f"nested more than {JSON_MAX_DEPTH} levels deep")
+    except (ValueError, TypeError, RecursionError) as err:  # ValueError covers JSON and UTF-8 decoding
+        raise error(f"{where}: malformed {what} ({type(err).__name__}: {err})") from None
+    return doc
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer; a bool, an int to Python, is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # ----------------------------------------------------------------- SEGV I/O
 
 
@@ -142,19 +178,14 @@ def load_segv(path) -> tuple[np.ndarray, dict]:
     offset += 4 * rank
     dtype = _DTYPES[code]
     expected = math.prod(shape) * dtype.itemsize  # Python ints: huge extents cannot wrap
-    payload = blob[offset:]
+    payload = memoryview(blob)[offset:]  # a view: np.array below makes the one copy
     if len(payload) != expected:
         raise CorruptionError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}"
         )
     data = np.frombuffer(payload, dtype=dtype).reshape(shape)
     sidecar = Path(str(path) + ".json")
-    try:
-        meta = json.loads(sidecar.read_bytes().decode()) if sidecar.exists() else {}
-    except ValueError as err:  # covers JSON and UTF-8 decoding
-        raise FormatError(f"{sidecar}: malformed metadata sidecar ({err})") from None
-    if not isinstance(meta, dict):
-        raise FormatError(f"{sidecar}: metadata sidecar is not a JSON object")
+    meta = read_json(sidecar.read_bytes(), sidecar, "metadata sidecar") if sidecar.exists() else {}
     return np.array(data), meta
 
 
@@ -180,7 +211,7 @@ def load_masks(path) -> MaskVolume:
     if data.dtype != np.uint8 or data.ndim != 3:
         raise FormatError(f"{path}: expected a rank-3 u8 mask volume, got {data.dtype} rank {data.ndim}")
     num_classes = meta.get("num_classes", int(data.max()) + 1 if data.size else 1)
-    if isinstance(num_classes, bool) or not isinstance(num_classes, int) or num_classes < 1:
+    if not is_int(num_classes) or num_classes < 1:
         raise FormatError(f"{path}: num_classes {num_classes!r} is not a positive integer")
     if data.size and data.max() >= num_classes:
         raise FormatError(f"{path}: mask value {int(data.max())} >= num_classes {num_classes}")
@@ -199,37 +230,6 @@ def write_pgm(path, image: np.ndarray) -> None:
     with atomic_open(path) as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         fh.write(img.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if not blob.startswith(b"P5"):
-        raise FormatError(f"{path}: not a binary PGM file")
-    fields: list[bytes] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if blob[pos : pos + 1] == b"#":  # comment line
-            end = blob.find(b"\n", pos)
-            if end < 0:
-                raise FormatError(f"{path}: PGM header ends inside a comment")
-            pos = end + 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(blob[start:pos])
-    if not all(f.isdigit() for f in fields):
-        raise FormatError(f"{path}: malformed PGM header fields {fields!r}")
-    w, h, maxval = (int(f) for f in fields)
-    if maxval != 255:
-        raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    pos += 1  # single whitespace after maxval
-    payload = blob[pos:]  # exactly w*h bytes: a shrunk extent must not read part of the image
-    if len(payload) != w * h:
-        raise CorruptionError(f"{path}: payload is {len(payload)} bytes, expected {w * h}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
 
 
 # ------------------------------------------------------------- preprocessing
@@ -275,7 +275,7 @@ class SplitConfig:
         if self.slice_limit is not None and self.slice_limit < 0:
             raise ConfigError(f"slice_limit must be >= 0, got {self.slice_limit}")
         for t in self.test_slices:
-            if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            if not is_int(t):
                 raise ConfigError(f"test slice {t!r} is not an integer")
 
 
@@ -385,14 +385,14 @@ class TileSet:
         images, _ = load_segv(stem + ".images.segv")
         masks, _ = load_segv(stem + ".masks.segv")
         sidecar = stem + ".json"
+        header = read_json(Path(sidecar).read_bytes(), sidecar, "tile sidecar")
         try:
-            header = json.loads(Path(sidecar).read_text())
             rows = [[t["slice"], t["row"], t["col"]] for t in header["tiles"]]
             tile_h, tile_w = header["tile_h"], header["tile_w"]
-            if not all(type(v) is int for v in [tile_h, tile_w, *(v for row in rows for v in row)]):
+            if not all(is_int(v) for v in [tile_h, tile_w, *(v for row in rows for v in row)]):
                 raise TypeError("tile sizes and provenance fields must be integers")
             prov = np.array(rows, dtype=np.int32).reshape(-1, 3)
-        except (KeyError, TypeError, ValueError, OverflowError) as err:  # ValueError covers JSON and UTF-8 decoding
+        except (KeyError, TypeError, OverflowError) as err:
             raise FormatError(f"{sidecar}: malformed tile sidecar ({type(err).__name__}: {err})") from None
         if images.dtype != np.float32 or masks.dtype != np.uint8:
             raise FormatError(f"{stem}: expected f32 images and u8 masks, got {images.dtype} and {masks.dtype}")

@@ -113,7 +113,7 @@ def build_model(spec: TopologySpec, seed: int, dtype=np.float64,
     rng = np.random.default_rng(seed)
     dtype = np.dtype(dtype)
     blocks = []
-    cin = spec.input_channels
+    cin = 1  # one amplitude channel
     for layer in spec.layers:
         blocks.append(_block(rng, layer, cin, dtype, bn_eps, bn_momentum))
         cin = layer.channels

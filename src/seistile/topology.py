@@ -22,7 +22,7 @@ all walk it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .errors import ConfigError, ParseError, TopologyError
 
@@ -72,7 +72,9 @@ class LayerSpec:
 class TopologySpec:
     name: str
     layers: tuple[LayerSpec, ...]
-    input_channels: int = 1
+    # not a field: the input is one amplitude channel. bench/spans.py still
+    # passes the count to the constructor and reads it back, so it stays as 1.
+    input_channels: InitVar[int] = 1
 
     @property
     def num_classes(self) -> int:
@@ -90,7 +92,7 @@ _TOKENS = {"conv": "c{kernel}", "tconv": "tc{kernel}", "ru": "ru", "tru": "tru",
 _KINDS = {token.replace("{kernel}", ""): kind for kind, token in _TOKENS.items()}
 
 
-def parse_topology(text: str, name: str = "custom", input_channels: int = 1) -> TopologySpec:
+def parse_topology(text: str, name: str = "custom") -> TopologySpec:
     """Parse DSL text into a validated TopologySpec."""
     layers: list[LayerSpec] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -112,7 +114,7 @@ def parse_topology(text: str, name: str = "custom", input_channels: int = 1) -> 
 
     if not layers:
         raise ParseError("empty topology")
-    spec = TopologySpec(name=name, layers=tuple(layers), input_channels=input_channels)
+    spec = TopologySpec(name=name, layers=tuple(layers))
     _validate(spec)
     return spec
 
@@ -156,7 +158,7 @@ def _out_size(layer: LayerSpec, h: int, w: int) -> tuple[int, int]:
 
 def forward_shape(spec: TopologySpec, h: int, w: int) -> tuple[int, int, int]:
     """(H, W, C) produced by running the topology on an H x W input."""
-    c = spec.input_channels
+    c = 1
     for layer in spec.layers:
         h, w = _out_size(layer, h, w)
         c = layer.channels
@@ -195,7 +197,7 @@ def layer_convs(layer: LayerSpec, cin: int) -> list[tuple[int, int, int, int, bo
 
 
 def _convs(spec: TopologySpec):
-    cin = spec.input_channels
+    cin = 1
     for layer in spec.layers:
         yield from layer_convs(layer, cin)
         cin = layer.channels
@@ -226,7 +228,7 @@ def count_operations(spec: TopologySpec, input_h: int, input_w: int,
     (the addition and the final ReLU).
     """
     total = 0
-    h, w, cin = input_h, input_w, spec.input_channels
+    h, w, cin = input_h, input_w, 1
     for layer in spec.layers:
         h, w = _out_size(layer, h, w)
         for k, a, b, s, bn in layer_convs(layer, cin):
@@ -251,8 +253,7 @@ def scale_widths(spec: TopologySpec, factor: float, name: str | None = None) -> 
         else:
             n = max(4, int(round(layer.channels * factor)))
             layers.append(LayerSpec(layer.kind, layer.kernel, layer.stride, n))
-    return TopologySpec(name=name or f"{spec.name}-x{factor:g}", layers=tuple(layers),
-                        input_channels=spec.input_channels)
+    return TopologySpec(name=name or f"{spec.name}-x{factor:g}", layers=tuple(layers))
 
 
 # --------------------------------------------------------------------------

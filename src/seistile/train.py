@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TileSet, atomic_open
+from .data import TileSet, atomic_open, is_int, read_json
 from .errors import ConfigError, CorruptionError, DivergenceError, FormatError, ParseError, TopologyError
 from .layers import softmax_cross_entropy
 # predict_slice_mask is not called here; the name stays because bench/spans.py patches it in this module
@@ -37,10 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_LR_SCHEDULE = ((0, 0.01), (50, 0.001), (100, 5e-4), (150, 1e-5))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -69,12 +65,14 @@ class TrainConfig:
 
     def __post_init__(self):
         for entry in self.lr_schedule:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and _is_int(entry[0])
-                    and (_is_int(entry[1]) or isinstance(entry[1], float))):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and is_int(entry[0])
+                    and (is_int(entry[1]) or isinstance(entry[1], float))):
                 raise ConfigError(f"lr_schedule entry {entry!r} is not an [epoch, rate] pair")
         thresholds = [e for e, _ in self.lr_schedule]
         if thresholds != sorted(set(thresholds)):
             raise ConfigError("lr schedule epochs must be strictly increasing")
+        if not thresholds or thresholds[0] > 0:
+            raise ConfigError(f"lr schedule {list(self.lr_schedule)} sets no rate for epoch 0")
         if not all(lr > 0 for _, lr in self.lr_schedule):  # NaN fails too
             raise ConfigError("learning rates must be positive")
         if self.batch_size < 1 or self.max_epochs < 1 or self.eval_every < 1:
@@ -82,14 +80,9 @@ class TrainConfig:
 
 
 def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:
-    """Learning rate of the largest schedule threshold <= epoch."""
-    lr = None
-    for threshold, value in cfg.lr_schedule:
-        if epoch >= threshold:
-            lr = value
-    if lr is None:
-        raise ConfigError(f"epoch {epoch} precedes the first schedule entry")
-    return lr
+    """Learning rate of the largest schedule threshold <= epoch; ``TrainConfig``
+    makes sure there is one for every epoch >= 0."""
+    return [lr for threshold, lr in cfg.lr_schedule if threshold <= epoch][-1]
 
 
 # elements per RMSProp update chunk: two rows of this length are all the
@@ -210,11 +203,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 # the JSON type of each header field and of each field of a tensor's directory entry
-_STRING, _INT = (lambda v: isinstance(v, str), "a string"), (_is_int, "an integer")
+_STRING, _INT = (lambda v: isinstance(v, str), "a string"), (is_int, "an integer")
 _HEADER_TYPES = {"topology": _STRING, "epoch": _INT,
-                 "val_miou": (lambda v: v is None or _is_int(v) or isinstance(v, float), "a number or null")}
+                 "val_miou": (lambda v: v is None or is_int(v) or isinstance(v, float), "a number or null")}
 _TENSOR_TYPES = {"name": _STRING, "kind": _STRING, "offset": _INT, "nbytes": _INT,
-                 "shape": (lambda v: isinstance(v, list) and all(_is_int(d) and d >= 0 for d in v),
+                 "shape": (lambda v: isinstance(v, list) and all(is_int(d) and d >= 0 for d in v),
                            "a list of integers >= 0")}
 
 
@@ -241,8 +234,8 @@ def load_checkpoint(path) -> Checkpoint:
     sections: dict[str, dict[str, np.ndarray] | None] = {
         "param": {}, "running": {}, "opt_ms": None, "opt_mom": None,
     }
+    header = read_json(blob[start : start + header_len], path, "checkpoint header")
     try:
-        header = json.loads(blob[start : start + header_len].decode())
         _check_types(header, _HEADER_TYPES, path, "")
         end = 0  # each tensor starts where the previous one ends
         for i, entry in enumerate(header["tensors"]):
@@ -266,7 +259,7 @@ def load_checkpoint(path) -> Checkpoint:
             params=sections["param"],
             buffers=sections["running"],
         )
-    except (KeyError, TypeError, ValueError) as err:  # ValueError covers JSON and UTF-8 decoding
+    except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"{path}: malformed checkpoint header ({type(err).__name__}: {err})") from None
 
 

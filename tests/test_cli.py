@@ -160,6 +160,19 @@ def test_train_before_prepare_exits_1(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("schedule", ["[]", "[[3, 0.1]]"])
+def test_train_with_no_rate_for_epoch_0_exits_1_before_touching_the_run(tmp_path, capsys, schedule):
+    cfg = desk_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    log = tmp_path / "out" / "log.csv"
+    log.write_text("epoch,loss,val_miou,lr,seconds\n0,1.5,,0.1,0.010\n")  # a previous run's log
+    assert main(["train", "--config", str(cfg), "--set", f"train.lr_schedule={schedule}"]) == 1
+    assert "no rate for epoch 0" in capsys.readouterr().err
+    assert log.read_text() == "epoch,loss,val_miou,lr,seconds\n0,1.5,,0.1,0.010\n"
+    assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+
 def test_corrupt_checkpoint_exits_2_for_eval_and_export(tmp_path, capsys):
     cfg = desk_config(tmp_path, **{"split.test_slices": [9], "split.test_count": None})
     assert main(["synth", "--config", str(cfg)]) == 0

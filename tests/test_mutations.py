@@ -2,22 +2,27 @@
 
 Each reader gets a small valid file, then many broken copies of it:
 truncation at every header boundary, flipped header bytes, a bad dtype
-code, huge extents and, in JSON, values of another type. Every case must
-end as ``seistile`` would end it inside a command: exit 2 for a data file,
-exit 1 for the config or a topology DSL file, or exit 0 where a mutation
-leaves a valid file. No case may raise anything else (which
-would reach the user as a traceback) or allocate more than a few MB.
+code, huge extents and, in JSON, values of another type, a document nested
+far past the parser's recursion limit and a top level that is not an
+object. Every case must end as ``seistile`` would end it inside a command:
+exit 2 for a data file, exit 1 for the config or a topology DSL file, or
+exit 0 where a mutation leaves a valid file. No case may raise anything
+else (which would reach the user as a traceback) or allocate more than a
+few MB.
 """
 
+import ast
 import json
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seistile.cli import _load_prepared, _read_dsl
+import seistile
+from seistile.cli import _load_prepared, _read_dsl, main
 from seistile.config import load_config
 from seistile.data import (
     MaskVolume,
@@ -26,11 +31,9 @@ from seistile.data import (
     Volume,
     load_masks,
     load_volume,
-    read_pgm,
     save_masks,
     save_volume,
     tile_volume,
-    write_pgm,
 )
 from seistile.errors import SeistileError
 from seistile.network import build_model
@@ -39,6 +42,8 @@ from seistile.train import checkpoint_from_model, load_checkpoint, restore_model
 
 FLIPS = 48  # flipped-byte cases per file
 PEAK_BYTES = 16 << 20  # far above what any of these small files needs
+NESTED = b"[" * 100_000 + b"]" * 100_000  # json.loads gives up with RecursionError
+NOT_OBJECTS = [b"[1, 2]", b"7", b'"text"', b"null"]  # valid JSON, but every reader wants an object
 
 
 def _exit_code(call):
@@ -127,7 +132,7 @@ def _types_swapped(text):
 
 
 def _json_cases(blob, rng, must_fail, may_pass):
-    must_fail += [blob[:end] for end in range(len(blob))]
+    must_fail += [blob[:end] for end in range(len(blob))] + [NESTED] + NOT_OBJECTS
     may_pass += _flips(blob, (0, len(blob)), rng) + _numbers_replaced(blob) + _types_swapped(blob)
 
 
@@ -162,6 +167,7 @@ def _ckpt_cases(blob, rng, must_fail, may_pass):
     ends += [start + header_len + t["offset"] + t["nbytes"] - 1 for t in header["tensors"]]
     must_fail += [blob[:end] for end in ends]
     must_fail += [blob[:magic] + struct.pack("<I", 0xFFFFFFFF) + blob[start:]]
+    must_fail += [with_header(text) for text in [NESTED] + NOT_OBJECTS]
     for key, value in (("shape", [1 << 31, 1 << 31]), ("nbytes", 1 << 62), ("offset", 1 << 62),
                        ("shape", [3, 3, 1, 4, 1]), ("kind", "weights"), ("name", "layer9.conv.kernel"),
                        ("name", 1.5)):
@@ -176,14 +182,6 @@ def _ckpt_cases(blob, rng, must_fail, may_pass):
     may_pass += [with_header(text) for text in _types_swapped(blob[start : start + header_len])]
 
 
-def _pgm_cases(blob, rng, must_fail, may_pass):
-    header = blob.index(b"255\n") + 4
-    must_fail += [blob[:end] for end in range(header)] + [blob[:-1], blob + b"\0"]
-    must_fail += [blob.replace(b"16 16", b"16 06", 1)]  # a flipped height must not read part of the image
-    must_fail += [b"P5\n99999999999 99999999999\n255\n" + blob[header:], b"P5\n16 16\n65535\n" + blob[header:]]
-    may_pass += _flips(blob, (0, header), rng)
-
-
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """One small valid file of every kind a command reads, by name."""
@@ -193,7 +191,6 @@ def files(tmp_path_factory):
     masks = MaskVolume(rng.integers(0, 7, size=(4, 16, 16)).astype(np.uint8), num_classes=7)
     save_volume(d / "volume_proc.segv", volume)
     save_masks(d / "masks_merged.segv", masks)
-    write_pgm(d / "mask.pgm", masks.slice(0) * 36)
     model = build_model(parse_topology("c3 s2 4\ntc3 s2 4\nout 7"), seed=0)
     save_checkpoint(checkpoint_from_model(model), d / "model.ckpt")
     tile_volume(volume, masks, [0, 1], TileConfig(8, 8, 0.0)).save(d / "tiles_train")
@@ -210,7 +207,6 @@ READERS = {
     "segv-sidecar": ("volume_proc.segv.json", lambda d: load_volume(d / "volume_proc.segv"), _json_cases, 2),
     "mask-segv": ("masks_merged.segv", lambda d: load_masks(d / "masks_merged.segv"), _segv_cases, 2),
     "mask-sidecar": ("masks_merged.segv.json", lambda d: load_masks(d / "masks_merged.segv"), _json_cases, 2),
-    "pgm": ("mask.pgm", lambda d: read_pgm(d / "mask.pgm"), _pgm_cases, 2),
     "checkpoint": ("model.ckpt", lambda d: restore_model(load_checkpoint(d / "model.ckpt")), _ckpt_cases, 2),
     "tileset-images": ("tiles_train.images.segv", lambda d: TileSet.load(d / "tiles_train"), _segv_cases, 2),
     "tileset-masks": ("tiles_train.masks.segv", lambda d: TileSet.load(d / "tiles_train"), _segv_cases, 2),
@@ -240,3 +236,34 @@ def test_every_broken_file_ends_in_its_exit_code(files, tmp_path, reader):
         if outcome not in allowed or peak > PEAK_BYTES:
             bad.append((i, outcome, peak, mutant[:80]))
     assert not bad, f"{len(bad)} of {len(must_fail) + len(may_pass)} cases: {bad[:5]}"
+
+
+@pytest.mark.parametrize("depth", [98, 99, 500, 990, 100_000])
+def test_a_config_value_nested_too_deeply_exits_1(tmp_path, depth):
+    """The file adds two levels to the value; 100 levels in all is the most a reader takes.
+    Values 500 or 990 levels deep parse, and would overflow the config's deepcopy or digest."""
+    value = "[" * depth + "]" * depth
+    (tmp_path / "run.json").write_text('{"train": {"lr_schedule": ' + value + "}}")
+    count = ["count", "--preset", "danet-fcn2"]
+    assert main(count + ["--config", str(tmp_path / "run.json")]) == (0 if depth == 98 else 1)
+    assert main(count + ["--set", "train.lr_schedule=" + value]) == (0 if depth <= 99 else 1)
+    assert main(count + ["--set", "seed=" + value]) == 1
+
+
+def test_json_is_parsed_only_by_the_two_json_readers():
+    """Every file's JSON goes through ``data.read_json``; ``--set`` values, which
+    fall back to a bare string, go through ``config.apply_overrides``."""
+    callers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in ("json.loads", "json.load"):
+                callers.append(where)
+            visit(child, where)
+
+    for path in sorted(Path(seistile.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
+    assert sorted(callers) == ["config.apply_overrides", "data.read_json"]

@@ -198,6 +198,10 @@ def test_train_config_validation():
         with pytest.raises(ConfigError, match="not an \\[epoch, rate\\] pair"):
             TrainConfig(lr_schedule=(entry,))
     assert TrainConfig(lr_schedule=[[0, 1], [5, 0.5]]).lr_schedule == [[0, 1], [5, 0.5]]
+    for schedule in ((), ((3, 0.1),)):
+        with pytest.raises(ConfigError, match="no rate for epoch 0"):
+            TrainConfig(lr_schedule=schedule)
+    assert lr_at_epoch(0, TrainConfig(lr_schedule=((-2, 0.5), (1, 0.1)))) == 0.5
 
 
 # -------------------------------------------------------------- checkpoints
