@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 configuration error, 2 data/format error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,8 +39,10 @@ from .train import (
 SEED_SYNTH, SEED_SPLIT, SEED_BUILD, SEED_SHUFFLE = 0, 1, 2, 3
 
 
-def _resolved(args) -> dict:
-    """The run config of the command line, whose digest goes to stderr for provenance."""
+def _resolved(args) -> tuple[dict, dict]:
+    """The run config of the command line, whose digest goes to stderr for
+    provenance, and its synth, split, tiles, train and optimizer sections built
+    into their settings, so that every command checks all of them first."""
     cfg = load_config(args.config) if getattr(args, "config", None) else resolve_config()
     overrides = list(getattr(args, "set", None) or ())
     if getattr(args, "seed", None) is not None:
@@ -47,8 +50,16 @@ def _resolved(args) -> dict:
     cfg = apply_overrides(cfg, overrides)
     if getattr(args, "out_dir", None):
         cfg["data"]["out_dir"] = args.out_dir
+    seed, split = cfg["seed"], dict(cfg["split"])
+    del split["test_count"]
+    split["test_slices"] = split["test_slices"] or ()  # _split_indices fills in a null one
+    run = {"synth": D.SynthConfig(**cfg["synth"], texture_seed=seed + SEED_SYNTH),
+           "split": D.SplitConfig(**split, seed=seed + SEED_SPLIT),
+           "tiles": D.TileConfig(**cfg["tiles"]),
+           "train": TrainConfig(**cfg["train"], seed=seed + SEED_SHUFFLE),
+           "optimizer": OptimizerConfig(**cfg["optimizer"])}
     print(f"config sha256={config_digest(cfg)}", file=sys.stderr)
-    return cfg
+    return cfg, run
 
 
 def _read_dsl(path, source: str) -> T.TopologySpec:
@@ -80,14 +91,13 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _split_indices(cfg: dict, num_slices: int) -> dict:
-    scfg = dict(cfg["split"])
-    count = scfg.pop("test_count")
-    if scfg["test_slices"] is None:
+def _split_indices(cfg: dict, split: D.SplitConfig, num_slices: int) -> dict:
+    if cfg["split"]["test_slices"] is None:
+        count = cfg["split"]["test_count"]
         if count is None:
             raise ConfigError("split.test_count is null and split.test_slices is not set")
-        scfg["test_slices"] = D.default_test_slices(num_slices, count)
-    return D.split_blocks(num_slices, D.SplitConfig(**scfg, seed=cfg["seed"] + SEED_SPLIT))
+        split = dataclasses.replace(split, test_slices=D.default_test_slices(num_slices, count))
+    return D.split_blocks(num_slices, split)
 
 
 # ---------------------------------------------------------------- commands
@@ -101,9 +111,8 @@ def cmd_config(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _resolved(args)
-    synth_cfg = D.SynthConfig(**cfg["synth"], texture_seed=cfg["seed"] + SEED_SYNTH)
-    volume, masks = D.generate_synthetic_volume(synth_cfg)
+    cfg, run = _resolved(args)
+    volume, masks = D.generate_synthetic_volume(run["synth"])
     vol_path, mask_path = Path(cfg["data"]["volume"]), Path(cfg["data"]["masks"])
     for p in (vol_path, mask_path):
         p.parent.mkdir(parents=True, exist_ok=True)
@@ -115,7 +124,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    cfg = _resolved(args)
+    cfg, run = _resolved(args)
     T.check_tile(_model_spec(cfg), cfg["tiles"]["tile_h"], cfg["tiles"]["tile_w"], "tiles")
     volume = D.load_volume(cfg["data"]["volume"])
     masks = D.load_masks(cfg["data"]["masks"])
@@ -128,15 +137,14 @@ def cmd_prepare(args) -> int:
     elif masks.num_classes != 7:
         raise FormatError(f"expected 7- or 8-class masks, got {masks.num_classes}")
 
-    split = _split_indices(cfg, volume.num_slices)
-    tile_cfg = D.TileConfig(**cfg["tiles"])
+    split = _split_indices(cfg, run["split"], volume.num_slices)
     out = _out_dir(cfg)
     D.save_volume(out / "volume_proc.segv", volume)
     D.save_masks(out / "masks_merged.segv", masks)
     with D.atomic_open(out / "split.json", "w") as fh:
         fh.write(json.dumps({**split, "config_digest": config_digest(cfg)}, indent=2, sort_keys=True))
     for name, indices in (("tiles_train", split["train"]), ("tiles_val", split["val"])):
-        tiles = D.tile_volume(volume, masks, indices, tile_cfg)
+        tiles = D.tile_volume(volume, masks, indices, run["tiles"])
         tiles.save(out / name)
         print(f"{name}: {len(tiles)} tiles from slices {indices}")
     return 0
@@ -161,9 +169,7 @@ def _load_prepared(cfg: dict):
 
 
 def cmd_train(args) -> int:
-    cfg = _resolved(args)
-    train_cfg = TrainConfig(**cfg["train"], seed=cfg["seed"] + SEED_SHUFFLE)  # checked before any file is touched
-    opt_cfg = OptimizerConfig(**cfg["optimizer"])
+    cfg, run = _resolved(args)
     out, volume, masks, split = _load_prepared(cfg)
     tiles = D.TileSet.load(out / "tiles_train")
 
@@ -185,7 +191,7 @@ def cmd_train(args) -> int:
 
     ckpt_path = out / "checkpoint.ckpt"
     try:
-        best, _ = train(model, tiles, val_data, train_cfg, opt_cfg,
+        best, _ = train(model, tiles, val_data, run["train"], run["optimizer"],
                         log_path=out / "log.csv", checkpoint_path=ckpt_path, progress=progress)
     except KeyboardInterrupt:
         kept = (f"{ckpt_path} holds the best of the {len(finished)} finished epochs" if finished
@@ -198,7 +204,7 @@ def cmd_train(args) -> int:
 def _restored(args):
     """The config, the prepared run and the model of ``--checkpoint`` (default
     the run's own), checked against the eval tile and the masks' classes."""
-    cfg = _resolved(args)
+    cfg, _ = _resolved(args)
     out, volume, masks, split = _load_prepared(cfg)
     model = restore_model(load_checkpoint(args.checkpoint or (out / "checkpoint.ckpt")))
     T.check_tile(model.spec, cfg["eval"]["tile_h"], cfg["eval"]["tile_w"], "eval")

@@ -71,10 +71,6 @@ class MaskVolume:
     data: np.ndarray  # u8, S x H x W
     num_classes: int
 
-    @property
-    def num_slices(self) -> int:
-        return self.data.shape[0]
-
     def slice(self, i: int) -> np.ndarray:
         return self.data[i]
 
@@ -162,31 +158,30 @@ def save_segv(path, array: np.ndarray, meta: dict | None = None) -> None:
 
 def load_segv(path) -> tuple[np.ndarray, dict]:
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[: len(SEGV_MAGIC)] != SEGV_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a SEGV file")
-    if len(blob) < len(SEGV_MAGIC) + 2:
-        raise CorruptionError(f"{path}: truncated header")
-    code, rank = blob[len(SEGV_MAGIC)], blob[len(SEGV_MAGIC) + 1]
-    if code not in _DTYPES:
-        raise FormatError(f"{path}: unknown dtype code {code}")
-    offset = len(SEGV_MAGIC) + 2
-    if len(blob) < offset + 4 * rank:
-        raise CorruptionError(f"{path}: truncated extents")
-    extents = np.frombuffer(blob, dtype="<u4", count=rank, offset=offset)
-    shape = tuple(int(e) for e in extents)
-    offset += 4 * rank
-    dtype = _DTYPES[code]
-    expected = math.prod(shape) * dtype.itemsize  # Python ints: huge extents cannot wrap
-    payload = memoryview(blob)[offset:]  # a view: np.array below makes the one copy
-    if len(payload) != expected:
-        raise CorruptionError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
-    data = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    with path.open("rb") as fh:
+        head = fh.read(len(SEGV_MAGIC) + 2)
+        if head[: len(SEGV_MAGIC)] != SEGV_MAGIC:
+            raise FormatError(f"{path}: bad magic, not a SEGV file")
+        if len(head) < len(SEGV_MAGIC) + 2:
+            raise CorruptionError(f"{path}: truncated header")
+        code, rank = head[len(SEGV_MAGIC)], head[len(SEGV_MAGIC) + 1]
+        if code not in _DTYPES:
+            raise FormatError(f"{path}: unknown dtype code {code}")
+        extents = fh.read(4 * rank)
+        if len(extents) < 4 * rank:
+            raise CorruptionError(f"{path}: truncated extents")
+        shape = tuple(int(e) for e in np.frombuffer(extents, dtype="<u4"))
+        dtype = _DTYPES[code]
+        expected = math.prod(shape) * dtype.itemsize  # Python ints: huge extents cannot wrap
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:  # checked before the array is allocated
+            raise CorruptionError(f"{path}: payload is {size} bytes, header implies {expected}")
+        data = np.empty(shape, dtype)  # the payload is read straight into the array returned
+        if fh.readinto(data.reshape(-1).view(np.uint8)) != expected:
+            raise CorruptionError(f"{path}: payload ended before its {expected} bytes")
     sidecar = Path(str(path) + ".json")
     meta = read_json(sidecar.read_bytes(), sidecar, "metadata sidecar") if sidecar.exists() else {}
-    return np.array(data), meta
+    return data, meta
 
 
 def save_volume(path, volume: Volume) -> None:

@@ -404,13 +404,12 @@ class ResidualUnit(Container):
     stride-s unit upsamples H x W to H*s x W*s.
     """
 
-    def __init__(self, conv1, bn1, conv2, bn2, shortcut, stride: int):
+    def __init__(self, conv1, bn1, conv2, bn2, shortcut):
         self.conv1 = conv1
         self.bn1 = bn1
         self.conv2 = conv2
         self.bn2 = bn2
         self.shortcut = shortcut  # None means identity
-        self.stride = stride
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         f = self.conv1.forward(x)

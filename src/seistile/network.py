@@ -46,7 +46,7 @@ def _block(rng, layer: LayerSpec, cin: int, dtype, bn_eps: float, bn_momentum: f
     if layer.residual:
         (conv1, bn1), (conv2, bn2), *projection = parts
         shortcut = projection[0][0] if projection else None
-        return L.ResidualUnit(conv1, bn1, conv2, bn2, shortcut, layer.stride)
+        return L.ResidualUnit(conv1, bn1, conv2, bn2, shortcut)
     return _ConvBlock(*parts[0])
 
 

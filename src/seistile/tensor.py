@@ -19,7 +19,7 @@ so no two slots or leaves ever share a gradient array. ``relu`` keeps no
 mask: its rule reads its own output, which the next op keeps anyway.
 
 Conventions: activations are N x H x W x C, kernels Kh x Kw x Cin x Cout.
-There is no broadcasting beyond tensor-vs-scalar.
+There is no broadcasting.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ __all__ = [
     "recording",
     "active_tape",
     "add",
-    "sub",
     "mul",
-    "scale",
     "relu",
     "matmul",
     "tensor_sum",
@@ -93,24 +91,8 @@ class Tensor:
 
     accumulate_grad = _Node.accumulate_grad  # a leaf is its own gradient slot
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; scalar operands route through scale/shift rules.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
 
 
 class _Record:
@@ -194,43 +176,18 @@ def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
         raise DimensionError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
-def add(a: Tensor, b) -> Tensor:
-    a = _as_tensor(a)
-    if np.isscalar(b):
-        out = Tensor(a.data + b)
-        return record_op(out, (a,), lambda g: (g,))
-    b = _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
     _check_same_shape("add", a, b)
     out = Tensor(a.data + b.data)
     return record_op(out, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    a = _as_tensor(a)
-    if np.isscalar(b):
-        out = Tensor(a.data - b)
-        return record_op(out, (a,), lambda g: (g,))
-    b = _as_tensor(b)
-    _check_same_shape("sub", a, b)
-    out = Tensor(a.data - b.data)
-    return record_op(out, (a, b), lambda g: (g, -g))
-
-
-def mul(a: Tensor, b) -> Tensor:
-    a = _as_tensor(a)
-    if np.isscalar(b):
-        return scale(a, b)
-    b = _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
     _check_same_shape("mul", a, b)
     out = Tensor(a.data * b.data)
     return record_op(out, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    a = _as_tensor(a)
-    s = float(s)
-    out = Tensor(a.data * s)
-    return record_op(out, (a,), lambda g: (g * s,))
 
 
 def relu(a: Tensor) -> Tensor:

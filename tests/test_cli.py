@@ -9,7 +9,7 @@ import pytest
 import seistile.train as train_mod
 from seistile import cli, errors
 from seistile.cli import main
-from seistile.data import TileSet, load_masks, load_segv, load_volume
+from seistile.data import TileSet, load_masks, load_segv, load_volume, save_segv
 from seistile.network import build_model
 from seistile.topology import parse_topology, preset, scale_widths
 from seistile.train import Checkpoint, checkpoint_from_model, load_checkpoint, save_checkpoint
@@ -171,6 +171,83 @@ def test_train_with_no_rate_for_epoch_0_exits_1_before_touching_the_run(tmp_path
     assert "no rate for epoch 0" in capsys.readouterr().err
     assert log.read_text() == "epoch,loss,val_miou,lr,seconds\n0,1.5,,0.1,0.010\n"
     assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+
+@pytest.mark.parametrize("assignment, words", [("optimizer.decay=5.0", "decay must lie in [0, 1)"),
+                                              ("train.lr_schedule=[[3,0.1]]", "no rate for epoch 0")])
+def test_count_and_prepare_check_the_train_and_optimizer_sections(tmp_path, capsys, assignment, words):
+    cfg = desk_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    for command in ("count", "prepare"):
+        assert main([command, "--config", str(cfg), "--set", assignment]) == 1
+        assert words in capsys.readouterr().err
+    assert not (tmp_path / "out" / "split.json").exists()
+
+
+# setup (None, "synth", or "prepare": synth, prepare and a 7-class checkpoint
+# at tiny.ckpt) with its --set values, a file edit after it, the environment,
+# the command ({tmp} is the test's directory), its exit code and a message fragment
+CLI_EXITS = {
+    "config_without_defaults": (None, [], None, {}, ["config"], 1, "only --defaults"),
+    "count_input_not_hxw": (None, [], None, {}, ["count", "--input", "80by120"], 1, "--input must look like 80x120"),
+    "count_set_without_equals": (None, [], None, {}, ["count", "--set", "seed"], 1, "is not of the form key=value"),
+    "synth_too_short": (None, [], None, {}, ["synth", "--set", "synth.height=10"], 1, "volume too small"),
+    "prepare_shapes_disagree": ("synth", [], lambda t: save_segv(t / "m.segv", load_segv(t / "m.segv")[0][:5],
+                                                                 {"num_classes": 8}),
+                                {}, ["prepare"], 2, "(5, 48, 64) disagree"),
+    "prepare_nine_classes": ("synth", ["synth.num_classes=9"], None, {}, ["prepare"], 2,
+                             "expected 7- or 8-class masks, got 9"),
+    "prepare_nan_volume": ("synth", [], lambda t: save_segv(t / "vol.segv", np.full((10, 48, 64), np.nan, np.float32)),
+                           {}, ["prepare"], 2, "non-finite"),
+    "prepare_mask_value_past_classes": ("synth", [], lambda t: (t / "m.segv.json").write_text('{"num_classes": 3}'),
+                                        {}, ["prepare"], 2, "mask value 7 >= num_classes 3"),
+    "prepare_no_blocks": ("synth", [], None, {}, ["prepare", "--set", "split.n_blocks=0"], 1, "n_blocks must be >= 1"),
+    "prepare_no_val": ("synth", [], None, {}, ["prepare", "--set", "split.train_fraction=1.0"], 1,
+                       "train_fraction must lie in (0, 1)"),
+    "prepare_test_count_past_slices": ("synth", [], None, {}, ["prepare", "--set", "split.test_count=11"], 1,
+                                       "cannot reserve 11 test slices out of 10"),
+    "prepare_test_slice_outside": ("synth", [], None, {}, ["prepare", "--set", "split.test_slices=[999]"], 1,
+                                   "test slice 999 outside [0, 10)"),
+    "prepare_too_few_slices": ("synth", [], None, {}, ["prepare", "--set", "split.n_blocks=20"], 1,
+                               "10 slices cannot fill 20 blocks"),
+    "prepare_whole_tile_overlap": ("synth", [], None, {}, ["prepare", "--set", "tiles.overlap_fraction=1.0"], 1,
+                                   "overlap_fraction must lie in [0, 1)"),
+    "train_classes_disagree": ("prepare", [], lambda t: (t / "five.dsl").write_text("c3 s2 4\ntc3 s2 4\nout 5"),
+                               {}, ["train", "--set", "model.dsl_path={tmp}/five.dsl"], 1,
+                               "model emits 5 classes but masks have 7"),
+    "eval_zero_threads": ("prepare", ["split.test_slices=[9]"], None, {"SEISTILE_THREADS": "0"},
+                          ["eval", "--checkpoint", "{tmp}/tiny.ckpt"], 1, "SEISTILE_THREADS must be >= 1"),
+    "eval_no_test_slices": ("prepare", ["split.test_count=0"], None, {}, ["eval", "--checkpoint", "{tmp}/tiny.ckpt"],
+                            1, "split has no test slices"),
+}
+
+
+@pytest.mark.parametrize("case", CLI_EXITS)
+def test_each_cli_exit_has_its_code_and_message_and_writes_nothing(tmp_path, monkeypatch, capsys, case):
+    setup, setup_set, edit, env, argv, code, words = CLI_EXITS[case]
+    monkeypatch.chdir(tmp_path)
+    cfg = desk_config(tmp_path)
+    overrides = [a for v in setup_set for a in ("--set", v)]
+    if setup:
+        assert main(["synth", "--config", str(cfg), *overrides]) == 0
+    if setup == "prepare":
+        assert main(["prepare", "--config", str(cfg), *overrides]) == 0
+        _tiny_checkpoint(tmp_path / "tiny.ckpt")
+    if edit:
+        edit(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[0] != "config":  # the one command that reads no run config
+        argv += ["--config", str(cfg)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert words in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_corrupt_checkpoint_exits_2_for_eval_and_export(tmp_path, capsys):

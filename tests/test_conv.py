@@ -4,7 +4,7 @@ import pytest
 from seistile import layers
 from seistile.errors import DimensionError
 from seistile.layers import conv2d, conv2d_transposed, half_padding
-from seistile.tensor import Tensor, backward, grad_check, recording, tensor_sum
+from seistile.tensor import Tensor, backward, grad_check, mul, recording, tensor_sum
 
 from oracles import naive_conv2d, naive_conv2d_transposed
 
@@ -215,7 +215,7 @@ def conv_grads(rng, op, x, kern):
     with recording() as tape:
         y = op(xt, kt, None)
         g = rand_int_tensor(rng, y.shape)
-        loss = tensor_sum(y * Tensor(g))
+        loss = tensor_sum(mul(y, Tensor(g)))
     backward(loss, tape)
     return y.data, g, xt.grad, kt.grad
 

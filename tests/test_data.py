@@ -1,9 +1,12 @@
 import json
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import seistile.data as data_mod
 from seistile.data import (
     MaskVolume,
     SplitConfig,
@@ -96,6 +99,29 @@ def test_segv_truncated_payload(tmp_path):
     path.write_bytes(blob[:-1])
     with pytest.raises(CorruptionError, match="payload"):
         load_segv(path)
+
+
+def test_segv_payload_that_shrinks_while_read_is_corruption(tmp_path, monkeypatch):
+    path = tmp_path / "v.segv"
+    save_volume(path, Volume(data=np.zeros((2, 3, 4), dtype=np.float32)))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-4])
+    monkeypatch.setattr(data_mod.os, "fstat", lambda fd: SimpleNamespace(st_size=size))  # the size before it shrank
+    with pytest.raises(CorruptionError, match="payload ended before its 96 bytes"):
+        load_segv(path)
+
+
+def test_segv_payload_is_read_into_the_one_array_returned(tmp_path):
+    path = tmp_path / "v.segv"
+    save_volume(path, Volume(data=np.ones((4, 256, 256), dtype=np.float32)))  # 1 MB payload
+    tracemalloc.start()
+    try:
+        data, _ = load_segv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.nbytes <= peak < 1.25 * data.nbytes
+    assert (data == 1.0).all()
 
 
 def test_segv_extents_whose_product_wraps_int64_are_corruption(tmp_path):

@@ -16,6 +16,7 @@ import json
 import re
 import struct
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -239,14 +240,17 @@ def test_every_broken_file_ends_in_its_exit_code(files, tmp_path, reader):
 
 
 @pytest.mark.parametrize("depth", [98, 99, 500, 990, 100_000])
-def test_a_config_value_nested_too_deeply_exits_1(tmp_path, depth):
+def test_a_config_value_nested_too_deeply_exits_1(tmp_path, capsys, depth):
     """The file adds two levels to the value; 100 levels in all is the most a reader takes.
-    Values 500 or 990 levels deep parse, and would overflow the config's deepcopy or digest."""
+    Values 500 or 990 levels deep parse, and would overflow the config's deepcopy or digest.
+    A value the readers take is still no [epoch, rate] schedule."""
     value = "[" * depth + "]" * depth
     (tmp_path / "run.json").write_text('{"train": {"lr_schedule": ' + value + "}}")
     count = ["count", "--preset", "danet-fcn2"]
-    assert main(count + ["--config", str(tmp_path / "run.json")]) == (0 if depth == 98 else 1)
-    assert main(count + ["--set", "train.lr_schedule=" + value]) == (0 if depth <= 99 else 1)
+    for args, read, too_deep in ((["--config", str(tmp_path / "run.json")], depth <= 98, "RecursionError"),
+                                 (["--set", "train.lr_schedule=" + value], depth <= 99, "levels deep")):
+        assert main(count + args) == 1
+        assert ("is not an [epoch, rate] pair" if read else too_deep) in capsys.readouterr().err
     assert main(count + ["--set", "seed=" + value]) == 1
 
 
@@ -267,3 +271,21 @@ def test_json_is_parsed_only_by_the_two_json_readers():
     for path in sorted(Path(seistile.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
     assert sorted(callers) == ["config.apply_overrides", "data.read_json"]
+
+
+def test_every_name_defined_in_the_package_is_referenced():
+    """Each function, class and method (dunders aside) is named somewhere in the
+    source, tests, demos or benchmark besides its own definition: nothing is
+    kept that nothing runs."""
+    root = Path(__file__).resolve().parent.parent
+    words = Counter(word for folder in ("src", "tests", "demos", "bench") for path in (root / folder).rglob("*.py")
+                    for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    defined: dict[str, int] = {}
+    for path in sorted(Path(seistile.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                defined[node.name] = defined.get(node.name, 0) + 1
+    unused = [name for name, defs in defined.items() if words[name] <= defs]
+    assert not unused, f"defined but never referenced: {unused}"
+
