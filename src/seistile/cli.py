@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as D
+from . import layers as L
 from . import topology as T
 from .config import apply_overrides, config_digest, load_config, resolve_config
 from .errors import ConfigError, FormatError, ParseError, SeistileError, TopologyError
@@ -41,8 +42,9 @@ SEED_SYNTH, SEED_SPLIT, SEED_BUILD, SEED_SHUFFLE = 0, 1, 2, 3
 
 def _resolved(args) -> tuple[dict, dict]:
     """The run config of the command line, whose digest goes to stderr for
-    provenance, and its synth, split, tiles, train and optimizer sections built
-    into their settings, so that every command checks all of them first."""
+    provenance, and its synth, split, tiles, train, optimizer and model
+    sections built into their settings, so that every command checks all of
+    them first."""
     cfg = load_config(args.config) if getattr(args, "config", None) else resolve_config()
     overrides = list(getattr(args, "set", None) or ())
     if getattr(args, "seed", None) is not None:
@@ -57,7 +59,8 @@ def _resolved(args) -> tuple[dict, dict]:
            "split": D.SplitConfig(**split, seed=seed + SEED_SPLIT),
            "tiles": D.TileConfig(**cfg["tiles"]),
            "train": TrainConfig(**cfg["train"], seed=seed + SEED_SHUFFLE),
-           "optimizer": OptimizerConfig(**cfg["optimizer"])}
+           "optimizer": OptimizerConfig(**cfg["optimizer"]),
+           "model": _model_spec(cfg)}
     print(f"config sha256={config_digest(cfg)}", file=sys.stderr)
     return cfg, run
 
@@ -72,6 +75,8 @@ def _read_dsl(path, source: str) -> T.TopologySpec:
 
 
 def _model_spec(cfg: dict) -> T.TopologySpec:
+    """The topology of the model section, with its batch-norm settings and the
+    tiles and eval tile sizes checked against it."""
     m = cfg["model"]
     scale = m["width_scale"]
     if scale <= 0:
@@ -82,6 +87,9 @@ def _model_spec(cfg: dict) -> T.TopologySpec:
         spec = T.preset(m["preset"])
     if scale != 1.0:
         spec = T.scale_widths(spec, scale, name=f"{spec.name}-w{scale:g}")
+    L.check_batch_norm(m["bn_eps"], m["bn_momentum"], "model.bn_")
+    for section in ("tiles", "eval"):
+        T.check_tile(spec, cfg[section]["tile_h"], cfg[section]["tile_w"], section)
     return spec
 
 
@@ -125,7 +133,6 @@ def cmd_synth(args) -> int:
 
 def cmd_prepare(args) -> int:
     cfg, run = _resolved(args)
-    T.check_tile(_model_spec(cfg), cfg["tiles"]["tile_h"], cfg["tiles"]["tile_w"], "tiles")
     volume = D.load_volume(cfg["data"]["volume"])
     masks = D.load_masks(cfg["data"]["masks"])
     if volume.data.shape != masks.data.shape:
@@ -173,8 +180,8 @@ def cmd_train(args) -> int:
     out, volume, masks, split = _load_prepared(cfg)
     tiles = D.TileSet.load(out / "tiles_train")
 
-    spec = _model_spec(cfg)
-    T.check_tile(spec, tiles.tile_h, tiles.tile_w, "tiles")
+    spec = run["model"]
+    T.check_tile(spec, tiles.tile_h, tiles.tile_w, "tiles")  # the tiles on disk may predate the config
     if spec.num_classes != masks.num_classes:
         raise ConfigError(f"model emits {spec.num_classes} classes but masks have {masks.num_classes}")
     model = build_model(spec, seed=cfg["seed"] + SEED_BUILD, dtype=np.float32,

@@ -54,6 +54,7 @@ __all__ = [
     "softmax_cross_entropy",
     "Conv2D",
     "BatchNorm2D",
+    "check_batch_norm",
     "Container",
     "ResidualUnit",
 ]
@@ -324,12 +325,18 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # Parameter containers
 
 
+def check_batch_norm(eps: float, momentum: float, name: str = "batch norm ") -> None:
+    """Raise ConfigError naming ``<name>eps`` or ``<name>momentum`` unless
+    eps > 0 and 0 < momentum < 1."""
+    if eps <= 0:
+        raise ConfigError(f"{name}eps must be > 0, got {eps}")
+    if not 0.0 < momentum < 1.0:
+        raise ConfigError(f"{name}momentum must lie in (0, 1), got {momentum}")
+
+
 class BatchNorm2D:
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.997, dtype=np.float64):
-        if eps <= 0:
-            raise ConfigError(f"batch norm eps must be > 0, got {eps}")
-        if not 0.0 < momentum < 1.0:
-            raise ConfigError(f"batch norm momentum must lie in (0, 1), got {momentum}")
+        check_batch_norm(eps, momentum)
         self.channels = channels
         self.eps = eps
         self.momentum = momentum

@@ -13,6 +13,8 @@ While it runs, the OpenBLAS numpy loaded is held at one thread, so each
 worker's GEMMs stay on its own core and one batch's im2col copies, batch
 norm and ReLU overlap another batch's GEMMs instead of competing with BLAS's
 own threads. A worker that reaches the pool again runs its items inline.
+The first pool caps glibc's malloc at one arena for the rest of the process,
+so what one worker frees is there for the next one to reuse.
 """
 
 from __future__ import annotations
@@ -93,6 +95,33 @@ def _openblas_threads():
     return None
 
 
+_M_ARENA_MAX = -8  # glibc's mallopt parameter: the most malloc arenas (heaps) a process keeps
+
+
+@functools.cache
+def _mallopt():
+    """The C library's mallopt(param, value), or None where it has none (not glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # Windows loads no library for None
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+@functools.cache
+def _one_malloc_arena() -> None:
+    """Cap glibc at one malloc arena, once per process.
+
+    glibc gives each new thread an arena of its own, and what a thread frees
+    stays in that arena, where no other thread reuses it. The process peak
+    would then depend on which arenas each pool's threads happened to get.
+    """
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_ARENA_MAX, 1)
+
+
 class _OneBlasThread:
     """Holds OpenBLAS at one thread while any caller is inside.
 
@@ -144,6 +173,7 @@ def _pool_map(fn, items) -> list:
     workers = min(worker_count(), len(items))
     if workers <= 1 or getattr(_POOL_WORKER, "active", False):
         return [fn(x) for x in items]
+    _one_malloc_arena()
     # pool shutdown waits for every worker before the BLAS count returns
     with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_worker) as pool:
         return list(pool.map(fn, items))

@@ -170,6 +170,9 @@ def check_tile(spec: TopologySpec, tile_h: int, tile_w: int, section: str) -> No
     unless the topology returns a tile_h x tile_w input at that size, as a
     tile's mask must be to fit back into its slice. Every preset has total
     stride 8, so there each tile side must be a multiple of 8."""
+    for key, size in (("tile_h", tile_h), ("tile_w", tile_w)):
+        if size < 1:
+            raise ConfigError(f"{section}.{key}={size}: a tile side must be >= 1")
     out_h, out_w, _ = forward_shape(spec, tile_h, tile_w)
     for key, size, out in (("tile_h", tile_h, out_h), ("tile_w", tile_w, out_w)):
         if out != size:

@@ -193,6 +193,21 @@ CLI_EXITS = {
     "count_input_not_hxw": (None, [], None, {}, ["count", "--input", "80by120"], 1, "--input must look like 80x120"),
     "count_set_without_equals": (None, [], None, {}, ["count", "--set", "seed"], 1, "is not of the form key=value"),
     "synth_too_short": (None, [], None, {}, ["synth", "--set", "synth.height=10"], 1, "volume too small"),
+    "count_bn_eps_zero": (None, [], None, {}, ["count", "--preset", "danet-fcn2", "--set", "model.bn_eps=0"], 1,
+                          "model.bn_eps must be > 0, got 0"),
+    "count_bn_momentum_past_one": (None, [], None, {}, ["count", "--preset", "danet-fcn2",
+                                                        "--set", "model.bn_momentum=1.5"], 1,
+                                   "model.bn_momentum must lie in (0, 1), got 1.5"),
+    "count_eval_tile_zero": (None, [], None, {}, ["count", "--preset", "danet-fcn2", "--set", "eval.tile_h=0"], 1,
+                             "eval.tile_h=0: a tile side must be >= 1"),
+    "prepare_bn_eps_zero": ("synth", [], None, {}, ["prepare", "--set", "model.bn_eps=0"], 1,
+                            "model.bn_eps must be > 0, got 0"),
+    "prepare_bn_momentum_past_one": ("synth", [], None, {}, ["prepare", "--set", "model.bn_momentum=1.5"], 1,
+                                     "model.bn_momentum must lie in (0, 1), got 1.5"),
+    "prepare_eval_tile_zero": ("synth", [], None, {}, ["prepare", "--set", "eval.tile_h=0"], 1,
+                               "eval.tile_h=0: a tile side must be >= 1"),
+    "prepare_eval_tile_the_model_changes": ("synth", [], None, {}, ["prepare", "--set", "eval.tile_w=100"], 1,
+                                            "eval.tile_w=100: danet-fcn2-w0.05 turns a 24x100 tile into 24x104"),
     "prepare_shapes_disagree": ("synth", [], lambda t: save_segv(t / "m.segv", load_segv(t / "m.segv")[0][:5],
                                                                  {"num_classes": 8}),
                                 {}, ["prepare"], 2, "(5, 48, 64) disagree"),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import sys
@@ -461,6 +462,70 @@ def test_concurrent_evaluations_hold_one_blas_thread_until_the_last_ends(blas_th
     assert errors == []
     assert len(seen) == 4 * 5 * 4 and all(count == 1 for _, count in seen)
     assert blas_threads() == 2
+
+
+# ------------------------------------------------------ malloc arenas of the pool
+
+@pytest.fixture
+def pool_events(monkeypatch):
+    """What reaches the C library's mallopt, and each pool built, in order. A
+    recorder stands in for the cached mallopt lookup, and the once-per-process
+    cap starts fresh, as in a new process."""
+    events = []
+
+    def mallopt(param, value):
+        events.append(("mallopt", param, value, threading.current_thread() is threading.main_thread()))
+        return 1
+
+    class NotingPool(metrics_mod.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            events.append("pool")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_mod, "_mallopt", lambda: mallopt)
+    monkeypatch.setattr(metrics_mod, "_one_malloc_arena", functools.cache(metrics_mod._one_malloc_arena.__wrapped__))
+    monkeypatch.setattr(metrics_mod, "ThreadPoolExecutor", NotingPool)
+    return events
+
+
+def test_first_pooled_map_caps_malloc_at_one_arena_once(pool_events, monkeypatch):
+    oracle_vol, masks = _synthetic_eval_setup()
+    monkeypatch.setenv("SEISTILE_THREADS", "2")
+    for _ in range(2):
+        assert evaluate_testset(OracleModel(), oracle_vol, masks, [0, 1, 2, 3], 30, 40).mmiou == 1.0
+    predict_slice_mask(ConstantModel(), np.zeros((40, 180)), 20, 20)  # 18 tiles in two batches
+    assert pool_events == [("mallopt", -8, 1, True), "pool", "pool", "pool"]
+
+
+def test_inline_maps_leave_malloc_alone(pool_events, monkeypatch):
+    oracle_vol, masks = _synthetic_eval_setup()
+    monkeypatch.setenv("SEISTILE_THREADS", "1")
+    assert evaluate_testset(OracleModel(), oracle_vol, masks, [0, 1, 2, 3], 30, 40).mmiou == 1.0
+    monkeypatch.setenv("SEISTILE_THREADS", "2")
+    assert evaluate_testset(OracleModel(), oracle_vol, masks, [2], 30, 40).mmiou == 1.0  # one slice, one batch
+    assert metrics_mod._pool_map(str, [7]) == ["7"]
+
+    def as_a_worker():
+        metrics_mod._mark_pool_worker()
+        results.append(metrics_mod._pool_map(str, [1, 2, 3]))
+
+    results = []
+    worker = threading.Thread(target=as_a_worker)
+    worker.start()
+    worker.join(timeout=60)
+    assert results == [["1", "2", "3"]]
+    assert pool_events == []
+
+
+def test_pooled_evaluation_runs_where_the_c_library_has_no_mallopt(monkeypatch):
+    monkeypatch.setattr(metrics_mod.ctypes, "CDLL", lambda name: object())
+    assert metrics_mod._mallopt.__wrapped__() is None
+    monkeypatch.setattr(metrics_mod, "_mallopt", lambda: None)
+    monkeypatch.setattr(metrics_mod, "_one_malloc_arena", functools.cache(metrics_mod._one_malloc_arena.__wrapped__))
+    oracle_vol, masks = _synthetic_eval_setup()
+    monkeypatch.setenv("SEISTILE_THREADS", "2")
+    report = evaluate_testset(OracleModel(), oracle_vol, masks, [0, 1, 2, 3], 30, 40)
+    assert report.mmiou == 1.0
 
 
 def test_real_model_evaluation_is_bitwise_independent_of_the_thread_count(monkeypatch):
