@@ -7,7 +7,7 @@ resource table, ``export-masks`` writes predicted masks as PGM images, and
 ``config --defaults`` dumps the full default configuration.
 
 Exit codes: 0 success, 1 configuration error, 2 data/format error,
-3 runtime failure, 130 interrupted (Ctrl-C).
+3 runtime failure, 130 interrupted (Ctrl-C), 141 output pipe closed early.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -340,6 +341,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:  # the reader left early (`| head`): 141 is the shell's 128 + SIGPIPE
+        # the interpreter flushes stdout at exit; on the closed pipe that would print an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SeistileError, OSError) as err:  # an OSError's text names its path
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, OSError) else err.exit_code

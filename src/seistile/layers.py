@@ -23,9 +23,10 @@ divmod(e + pad_top, s), reading g rows R + c - (u - a)/s. Each of the s*s
 output phases is therefore a stride-1 correlation of the zero-padded g
 with the flipped, channel-swapped sub-kernel kernel[a::s, b::s], and the
 phases are interleaved once; no zero-stuffed input is built. im2col is
-materialised in batch chunks of at most _WORKSPACE_BYTES, so peak memory
-no longer grows with batch x Kh*Kw*C for a single GEMM. The engine always
-returns a fresh array, so the bias is added to it in place.
+materialised in batch chunks of at most _WORKSPACE_BYTES, one chunk alive
+at a time, so peak memory no longer grows with batch x Kh*Kw*C for a
+single GEMM. The engine always returns a fresh array, so the bias is added
+to it in place.
 
 Batch norm works on the (N*H*W) x C view with few full-size passes. The
 train forward takes the mean, makes one centred copy, reads the variance
@@ -34,7 +35,12 @@ y = xhat*gamma + beta. The eval forward folds the running statistics and
 the affine into scale = gamma*inv_std and shift = beta - mean*scale, so
 y = x*scale + shift. The backward needs only gbeta = sum(g) and
 ggamma = sum(g*xhat): with a = gamma*inv_std, the train-mode input
-gradient is a*(g - xhat*ggamma/m - gbeta/m), built in place in one array.
+gradient is a*(g - xhat*ggamma/m - gbeta/m), built in place in xhat.
+
+With no tape open, an eval forward keeps nothing for a backward rule, so
+the units run eval batch norm (_normalize_eval, as batch_norm does), the
+residual sum and ReLU in the arrays their convolutions return. batch_norm,
+relu and add themselves never write into their inputs.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, DegenerateBatchError, DimensionError, LabelError
-from .tensor import Tensor, add, record_op, relu
+from .tensor import Tensor, active_tape, add, record_op, relu
 
 __all__ = [
     "half_padding",
@@ -82,15 +88,6 @@ def _pad_nhwc(x: np.ndarray, ph: tuple[int, int], pw: tuple[int, int]) -> np.nda
     return np.pad(x, ((0, 0), ph, pw, (0, 0)))
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int):
-    """Yield (batch slice, im2col rows) in chunks that fit the workspace budget."""
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = win[:, :hout, :wout].transpose(0, 1, 2, 4, 5, 3)  # [N, H', W', Kh, Kw, C] view
-    step = max(1, _WORKSPACE_BYTES // max(cols[:1].nbytes, 1))
-    for lo in range(0, len(xp), step):
-        yield slice(lo, lo + step), cols[lo : lo + step].reshape(-1, kh * kw * xp.shape[3])
-
-
 def _correlate(xp: np.ndarray, kh: int, kw: int, stride: int, kmat: np.ndarray,
                out: np.ndarray | None, g: np.ndarray | None = None) -> np.ndarray | None:
     """One walk over the im2col chunks of xp feeding up to two GEMMs per chunk.
@@ -101,11 +98,17 @@ def _correlate(xp: np.ndarray, kh: int, kw: int, stride: int, kmat: np.ndarray,
     """
     gk = None if g is None else np.zeros((kh * kw * xp.shape[3], g.shape[3]), np.result_type(xp, g))
     hout, wout = (g if out is None else out).shape[1:3]
-    for part, cols in _im2col(xp, kh, kw, stride, hout, wout):
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    win = win[:, :hout, :wout].transpose(0, 1, 2, 4, 5, 3)  # [N, H', W', Kh, Kw, C] view
+    step = max(1, _WORKSPACE_BYTES // max(win[:1].nbytes, 1))
+    for lo in range(0, len(xp), step):
+        part = slice(lo, lo + step)
+        cols = win[part].reshape(-1, kh * kw * xp.shape[3])  # the copy that fits the budget
         if out is not None:
             np.matmul(cols, kmat, out=out[part].reshape(-1, out.shape[3]))
         if gk is not None:
             gk += cols.T @ g[part].reshape(-1, g.shape[3])
+        del cols  # so the next chunk is copied with only one chunk alive
     return gk
 
 
@@ -198,6 +201,18 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: in
     return _conv(x, kernel, bias, stride, transposed=True)
 
 
+def _normalize_eval(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray,
+                    var: np.ndarray, eps: float, out: np.ndarray | None = None):
+    """Eval batch norm of x (channels last) with the running statistics:
+    (x*scale + shift, inv_std), with scale = gamma*inv_std and
+    shift = beta - mean*scale. Written into ``out`` if given (which may be x)."""
+    inv_std = 1.0 / np.sqrt(var + eps)
+    scale = gamma * inv_std
+    y = np.multiply(x, scale, out=out)
+    y += beta - mean * scale
+    return y, inv_std
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
@@ -242,10 +257,7 @@ def batch_norm(
         saved = xhat  # the rule never reads x, so the record lets it die
     else:
         mean = running_mean.copy()  # backward must see the statistics of this call
-        inv_std = 1.0 / np.sqrt(running_var + eps)
-        scale = gamma.data * inv_std
-        y = xf * scale
-        y += beta.data - mean * scale
+        y, inv_std = _normalize_eval(xf, gamma.data, beta.data, mean, running_var, eps)
         saved = xf
     shape, x_needs_grad = x.shape, x.requires_grad
     out = Tensor(y.reshape(shape))
@@ -258,8 +270,9 @@ def batch_norm(
         gx = None
         if x_needs_grad:
             if train:
-                # batch statistics depend on x: gx = a*(g - xhat*ggamma/m - gbeta/m), a = gamma*inv_std
-                gx = xh * (-ggamma / m)
+                # batch statistics depend on x: gx = a*(g - xhat*ggamma/m - gbeta/m), a = gamma*inv_std,
+                # built in xhat's buffer, which nothing reads after this rule
+                gx = np.multiply(xh, -ggamma / m, out=xh)
                 gx += gf
                 gx -= gbeta / m
                 gx *= gamma.data * inv_std
@@ -345,7 +358,13 @@ class BatchNorm2D:
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
+    def forward(self, x: Tensor, train: bool, in_place: bool = False) -> Tensor:
+        """``batch_norm`` with this layer's tensors. With ``in_place`` in eval
+        mode, x's array (which only the caller holds) is normalized and x returned."""
+        if in_place and not train:
+            _normalize_eval(x.data, self.gamma.data, self.beta.data, self.running_mean, self.running_var,
+                            self.eps, out=x.data)
+            return x
         return batch_norm(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
             eps=self.eps, momentum=self.momentum, train=train,
@@ -381,6 +400,18 @@ class Conv2D:
 
     def buffers(self):
         return []
+
+
+def eval_in_place(train: bool) -> bool:
+    """True for an eval forward with no tape open. Then no backward rule will
+    read the fresh arrays a block's convolutions return, so the block runs
+    batch norm, the residual sum and ReLU in them instead of allocating new ones."""
+    return not train and active_tape() is None
+
+
+def relu_in_place(x: Tensor) -> Tensor:
+    np.maximum(x.data, 0, out=x.data)
+    return x
 
 
 class Container:
@@ -419,16 +450,20 @@ class ResidualUnit(Container):
         self.shortcut = shortcut  # None means identity
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
+        in_place = eval_in_place(train)
         f = self.conv1.forward(x)
-        f = self.bn1.forward(f, train)
-        f = relu(f)
+        f = self.bn1.forward(f, train, in_place)
+        f = relu_in_place(f) if in_place else relu(f)
         f = self.conv2.forward(f)
-        f = self.bn2.forward(f, train)
+        f = self.bn2.forward(f, train, in_place)
         h = x if self.shortcut is None else self.shortcut.forward(x)
         if h.shape != f.shape:
             raise DimensionError(
                 f"residual unit: main path {f.shape} and shortcut {h.shape} disagree"
             )
+        if in_place:  # into f: h may be the caller's x
+            np.add(h.data, f.data, out=f.data)
+            return relu_in_place(f)
         return relu(add(h, f))
 
     def parts(self):

@@ -67,6 +67,8 @@ class _ConvBlock(L.Container):
     def forward(self, x, train):
         if self.bn is None:
             return self.conv.forward(x)
+        if L.eval_in_place(train):
+            return L.relu_in_place(self.bn.forward(self.conv.forward(x), train, in_place=True))
         return relu(self.bn.forward(self.conv.forward(x), train))
 
     def parts(self):

@@ -1,6 +1,9 @@
 import json
+import os
 import shlex
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -654,3 +657,16 @@ def test_ctrl_c_in_any_command_exits_130_without_a_traceback(monkeypatch, capsys
     monkeypatch.setattr(cli, "cmd_config", interrupted)
     assert main(["config", "--defaults"]) == 130
     assert capsys.readouterr().err == "interrupted\n"
+
+
+def test_output_pipe_closed_before_the_first_write_exits_141_silently():
+    # the read end is closed first, so the first write fails every time (as `| head` can)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        done = subprocess.run([sys.executable, "-m", "seistile.cli", "config", "--defaults"], stdout=write_end,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,30 @@ def test_tconv_chunked_phases_match_naive(monkeypatch, k, s):
     np.testing.assert_array_equal(gx, naive_conv2d(g, kern, None, s))
     np.testing.assert_array_equal(
         gk, basis_kernel_grad(lambda a, e: naive_conv2d_transposed(a, e, None, s), x, kern.shape, 2, g))
+
+
+# budgets of one sample's im2col rows (the largest phase's for the transposed
+# conv), so each forward walks its batch in 3 or 4 chunks
+@pytest.mark.parametrize("op, stride, x_shape, k_shape, budget", [
+    (conv2d, 1, (4, 16, 16, 8), (3, 3, 8, 4), 16 * 16 * 9 * 8 * 8),
+    (conv2d_transposed, 2, (3, 8, 8, 16), (3, 3, 4, 16), 8 * 8 * 4 * 16 * 8),
+])
+def test_a_walk_holds_one_im2col_chunk_at_a_time(monkeypatch, op, stride, x_shape, k_shape, budget):
+    monkeypatch.setattr(layers, "_WORKSPACE_BYTES", budget)
+    padded, pad = [], layers._pad_nhwc
+
+    def counted_pad(*args):
+        xp = pad(*args)
+        padded.append(xp.nbytes)
+        return xp
+
+    monkeypatch.setattr(layers, "_pad_nhwc", counted_pad)
+    rng = np.random.default_rng(8)
+    x, kern = Tensor(rng.normal(size=x_shape)), Tensor(rng.normal(size=k_shape))
+    tracemalloc.start()
+    try:
+        y = op(x, kern, None, stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < y.data.nbytes + padded[0] + 1.5 * budget

@@ -13,7 +13,7 @@ from seistile.layers import (
 )
 from seistile.network import _residual_unit, build_model
 from seistile.tensor import Tensor, add, backward, grad_check, mul, recording, relu, tensor_sum
-from seistile.topology import preset, scale_widths
+from seistile.topology import parse_topology, preset, scale_widths
 
 
 # ---------------------------------------------------------------- batch norm
@@ -326,3 +326,50 @@ def test_layer_forward_determinism():
     a = unit.forward(x, train=False).data
     b = unit.forward(x, train=False).data
     assert np.array_equal(a, b)
+
+
+# every block kind: c/tc, ru/tru, identity and projection shortcuts, the classifier
+EVERY_BLOCK_KIND = "c3 s2 8\nru 8\nru s2 12\ntru s2 8\ntru 8\ntc3 s2 6\nout 5"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["danet-fcn", "danet-fcn2", "danet-fcn3", "every block kind"])
+def test_untaped_eval_forward_matches_the_taped_one_bitwise(name, dtype):
+    # with no tape the blocks normalize, add and rectify in their conv outputs
+    spec = parse_topology(EVERY_BLOCK_KIND) if name == "every block kind" else scale_widths(preset(name), 0.1)
+    model = build_model(spec, seed=6, dtype=dtype)
+    rng = np.random.default_rng(6)
+    for _, t, _ in model.parameters():
+        if t.data.ndim == 1:  # biases, gamma and beta
+            t.data[...] = rng.normal(size=t.shape)
+    for n, buf in model.buffers():
+        buf[...] = rng.normal(size=buf.shape) if n.endswith("mean") else rng.uniform(0.5, 2.0, size=buf.shape)
+    x = rng.normal(size=(2, 16, 24, 1)).astype(dtype)
+    state = [a.copy() for a in [x] + [t.data for _, t, _ in model.parameters()] + [b for _, b in model.buffers()]]
+
+    y = Tensor(x)
+    for block in model.blocks:  # none writes into its input, which an identity shortcut reads
+        block_input = y.data.copy()
+        y, seen = block.forward(y, train=False), y
+        assert seen.data.tobytes() == block_input.tobytes()
+    untaped = y.data
+    with recording() as tape:
+        taped = model.forward(Tensor(x), train=False).data
+        assert len(tape) > 0
+    assert untaped.dtype == taped.dtype == dtype
+    assert untaped.tobytes() == taped.tobytes()
+    after = [x] + [t.data for _, t, _ in model.parameters()] + [b for _, b in model.buffers()]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(state, after))
+
+
+def test_eval_batch_norm_relu_and_add_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(7)
+    x, h = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, 4, 5))
+    gamma, beta, mean, var = rng.normal(size=5), rng.normal(size=5), rng.normal(size=5), rng.uniform(0.5, 2.0, 5)
+    arrays = [x, h, gamma, beta, mean, var]
+    before = [a.copy() for a in arrays]
+    outs = [batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), mean, var, train=False),
+            relu(Tensor(x)), add(Tensor(h), Tensor(x))]
+    for a, b in zip(arrays, before):
+        np.testing.assert_array_equal(a, b)
+    assert not any(np.shares_memory(out.data, a) for out in outs for a in (x, h))
