@@ -340,10 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a pipe buffers a short output until exit, so a closed one fails here
+        return code
     except BrokenPipeError:  # the reader left early (`| head`): 141 is the shell's 128 + SIGPIPE
-        # the interpreter flushes stdout at exit; on the closed pipe that would print an error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the interpreter flushes what stdout still buffers at exit; into the closed pipe
+        # that would print an error, into os.devnull it stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except (SeistileError, OSError) as err:  # an OSError's text names its path
         print(f"error: {err}", file=sys.stderr)

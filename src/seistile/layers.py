@@ -38,9 +38,10 @@ ggamma = sum(g*xhat): with a = gamma*inv_std, the train-mode input
 gradient is a*(g - xhat*ggamma/m - gbeta/m), built in place in xhat.
 
 With no tape open, an eval forward keeps nothing for a backward rule, so
-the units run eval batch norm (_normalize_eval, as batch_norm does), the
-residual sum and ReLU in the arrays their convolutions return. batch_norm,
-relu and add themselves never write into their inputs.
+bn_relu, the epilogue of every conv block and residual unit, runs eval
+batch norm (_normalize_eval, as batch_norm does), the residual sum and
+ReLU in the array the convolution returned. batch_norm, relu and add
+themselves never write into their inputs.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ __all__ = [
     "Conv2D",
     "BatchNorm2D",
     "check_batch_norm",
+    "bn_relu",
     "Container",
     "ResidualUnit",
 ]
@@ -202,10 +204,11 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: in
 
 
 def _normalize_eval(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray,
-                    var: np.ndarray, eps: float, out: np.ndarray | None = None):
+                    var: np.ndarray, eps: float, out: np.ndarray | None):
     """Eval batch norm of x (channels last) with the running statistics:
     (x*scale + shift, inv_std), with scale = gamma*inv_std and
-    shift = beta - mean*scale. Written into ``out`` if given (which may be x)."""
+    shift = beta - mean*scale. Written into ``out`` (x itself, or None for
+    a new array)."""
     inv_std = 1.0 / np.sqrt(var + eps)
     scale = gamma * inv_std
     y = np.multiply(x, scale, out=out)
@@ -257,7 +260,7 @@ def batch_norm(
         saved = xhat  # the rule never reads x, so the record lets it die
     else:
         mean = running_mean.copy()  # backward must see the statistics of this call
-        y, inv_std = _normalize_eval(xf, gamma.data, beta.data, mean, running_var, eps)
+        y, inv_std = _normalize_eval(xf, gamma.data, beta.data, mean, running_var, eps, None)
         saved = xf
     shape, x_needs_grad = x.shape, x.requires_grad
     out = Tensor(y.reshape(shape))
@@ -358,17 +361,16 @@ class BatchNorm2D:
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def forward(self, x: Tensor, train: bool, in_place: bool = False) -> Tensor:
-        """``batch_norm`` with this layer's tensors. With ``in_place`` in eval
-        mode, x's array (which only the caller holds) is normalized and x returned."""
-        if in_place and not train:
-            _normalize_eval(x.data, self.gamma.data, self.beta.data, self.running_mean, self.running_var,
-                            self.eps, out=x.data)
-            return x
+    def forward(self, x: Tensor, train: bool) -> Tensor:
         return batch_norm(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
             eps=self.eps, momentum=self.momentum, train=train,
         )
+
+    def normalize_in_place(self, x: Tensor) -> None:
+        """Eval batch norm written into x's array, for a caller that holds the only reference."""
+        _normalize_eval(x.data, self.gamma.data, self.beta.data, self.running_mean, self.running_var,
+                        self.eps, x.data)
 
     def parameters(self):
         return [("gamma", self.gamma, False), ("beta", self.beta, False)]
@@ -402,16 +404,22 @@ class Conv2D:
         return []
 
 
-def eval_in_place(train: bool) -> bool:
-    """True for an eval forward with no tape open. Then no backward rule will
-    read the fresh arrays a block's convolutions return, so the block runs
-    batch norm, the residual sum and ReLU in them instead of allocating new ones."""
-    return not train and active_tape() is None
-
-
-def relu_in_place(x: Tensor) -> Tensor:
-    np.maximum(x.data, 0, out=x.data)
-    return x
+def bn_relu(bn: BatchNorm2D, f: Tensor, train: bool, skip: Tensor | None) -> Tensor:
+    """relu(bn(f) + skip), or relu(bn(f)) for skip None, where f is the fresh
+    array a convolution returned. An eval forward with no tape open keeps
+    nothing for a backward rule, so it is computed in f's array instead of
+    in new ones."""
+    if train or active_tape() is not None:
+        y = bn.forward(f, train)
+        # bn's record keeps what its backward reads; when the caller passed f as a temporary,
+        # f dies here instead of living on while the sum and ReLU allocate
+        del f
+        return relu(y if skip is None else add(skip, y))
+    bn.normalize_in_place(f)
+    if skip is not None:  # into f: skip may be the caller's input
+        np.add(skip.data, f.data, out=f.data)
+    np.maximum(f.data, 0, out=f.data)
+    return f
 
 
 class Container:
@@ -450,21 +458,14 @@ class ResidualUnit(Container):
         self.shortcut = shortcut  # None means identity
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        in_place = eval_in_place(train)
-        f = self.conv1.forward(x)
-        f = self.bn1.forward(f, train, in_place)
-        f = relu_in_place(f) if in_place else relu(f)
+        f = bn_relu(self.bn1, self.conv1.forward(x), train, None)
         f = self.conv2.forward(f)
-        f = self.bn2.forward(f, train, in_place)
         h = x if self.shortcut is None else self.shortcut.forward(x)
         if h.shape != f.shape:
             raise DimensionError(
                 f"residual unit: main path {f.shape} and shortcut {h.shape} disagree"
             )
-        if in_place:  # into f: h may be the caller's x
-            np.add(h.data, f.data, out=f.data)
-            return relu_in_place(f)
-        return relu(add(h, f))
+        return bn_relu(self.bn2, f, train, h)
 
     def parts(self):
         return [("conv1", self.conv1), ("bn1", self.bn1), ("conv2", self.conv2), ("bn2", self.bn2),

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import layers as L
 from .errors import ContractError
-from .tensor import Tensor, relu
+from .tensor import Tensor, relu  # noqa: F401 (unused here; bench/spans.py patches network.relu)
 from .topology import LayerSpec, TopologySpec, layer_convs, render_topology
 
 __all__ = ["xavier_init", "Model", "build_model"]
@@ -67,9 +67,7 @@ class _ConvBlock(L.Container):
     def forward(self, x, train):
         if self.bn is None:
             return self.conv.forward(x)
-        if L.eval_in_place(train):
-            return L.relu_in_place(self.bn.forward(self.conv.forward(x), train, in_place=True))
-        return relu(self.bn.forward(self.conv.forward(x), train))
+        return L.bn_relu(self.bn, self.conv.forward(x), train, None)
 
     def parts(self):
         return [("conv", self.conv), ("bn", self.bn)]

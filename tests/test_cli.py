@@ -659,14 +659,20 @@ def test_ctrl_c_in_any_command_exits_130_without_a_traceback(monkeypatch, capsys
     assert capsys.readouterr().err == "interrupted\n"
 
 
-def test_output_pipe_closed_before_the_first_write_exits_141_silently():
-    # the read end is closed first, so the first write fails every time (as `| head` can)
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_output_pipe_closed_before_the_first_write_exits_141_silently(unbuffered):
+    # the read end is closed first, so the first write fails every time (as `| head` can); a
+    # buffered stdout holds the short output until it is flushed, an unbuffered one writes at once
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     try:
         done = subprocess.run([sys.executable, "-m", "seistile.cli", "config", "--defaults"], stdout=write_end,
-                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+                              stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")
