@@ -1,0 +1,52 @@
+"""Traced memory of one training step and one inference forward.
+
+Full-width `danet-fcn2` in float32 on 80x120 tiles, as the README's
+"Memory" paragraph quotes it: one train step on a batch of 8 tiles
+(forward with the tape, loss, backward, RMSProp update) and one inference
+forward of 9 tiles with no tape open. tracemalloc starts after the model,
+the optimizer and the input batches exist, so a peak is what the step
+itself allocates on top of them.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from seistile.layers import softmax_cross_entropy
+from seistile.network import build_model
+from seistile.tensor import Tensor, backward, recording
+from seistile.topology import preset
+from seistile.train import OptimizerConfig, RMSProp
+
+rng = np.random.default_rng(0)
+model = build_model(preset("danet-fcn2"), seed=0, dtype=np.float32)
+optimizer = RMSProp(model.parameters(), OptimizerConfig())
+x_train = Tensor(rng.normal(size=(8, 80, 120, 1)).astype(np.float32))
+labels = rng.integers(0, model.num_classes, size=(8, 80, 120))
+x_eval = Tensor(rng.normal(size=(9, 80, 120, 1)).astype(np.float32))
+
+
+def traced_peak_mb(step) -> float:
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def train_step():
+    model.zero_grads()
+    with recording() as tape:
+        loss = softmax_cross_entropy(model.forward(x_train, train=True), labels)
+    backward(loss, tape)
+    optimizer.step(0.01)
+
+
+def inference_forward():
+    model.forward(x_eval, train=False)
+
+
+print(f"danet-fcn2, full width, float32, 80x120 tiles, {sum(t.size for _, t, _ in model.parameters()):,} parameters")
+print(f"train step, 8 tiles:        {traced_peak_mb(train_step):6.1f} MB traced peak")
+print(f"inference forward, 9 tiles: {traced_peak_mb(inference_forward):6.1f} MB traced peak")

@@ -239,12 +239,12 @@ def preprocess_rescale(volume: Volume, clip_lo_pct: float = 1.0, clip_hi_pct: fl
     if not 0.0 <= clip_lo_pct < clip_hi_pct <= 100.0:
         raise ConfigError(f"bad clip percentiles ({clip_lo_pct}, {clip_hi_pct})")
     lo, hi = np.percentile(volume.data, [clip_lo_pct, clip_hi_pct])
+    out = np.zeros(volume.data.shape, np.float32)
     if hi <= lo:
         warnings.warn("volume intensity range collapsed; rescale maps everything to 0")
-        out = np.zeros_like(volume.data, dtype=np.float32)
     else:
-        clipped = np.clip(volume.data, lo, hi)
-        out = ((clipped - lo) * (255.0 / (hi - lo))).astype(np.float32)
+        for src, dst in zip(volume.data, out):  # float64 temporaries one slice in size
+            dst[...] = (np.clip(src, lo, hi) - lo) * (255.0 / (hi - lo))
     meta = dict(volume.meta)
     meta["rescaled"] = {"clip_lo_pct": float(clip_lo_pct), "clip_hi_pct": float(clip_hi_pct),
                         "lo": float(lo), "hi": float(hi)}
@@ -507,12 +507,13 @@ def generate_synthetic_volume(cfg: SynthConfig) -> tuple[Volume, MaskVolume]:
     amplitude, noise). Labels are band indices, so along any column they are
     monotone non-decreasing.
 
-    Each band's texture is computed only on the rows it can occupy, from its
-    shallowest roof to its deepest floor. Its noise is drawn for the whole
-    volume all the same: the normal sampler takes a variable number of raw
-    draws, so the stream cannot skip to the next band without changing the
-    bytes a seed gives. The volume and masks are a pure function of ``cfg``,
-    the seed included.
+    Each band's texture is computed slice by slice, only on the rows it can
+    occupy, from its shallowest roof to its deepest floor, and written
+    straight into the float32 volume. Its noise is drawn for every pixel of
+    the slice all the same: the normal sampler takes a variable number of
+    raw draws, so the stream cannot skip the other bands' rows without
+    changing the bytes a seed gives. The volume and masks are a pure
+    function of ``cfg``, the seed included.
     """
     rng = np.random.default_rng(cfg.texture_seed)
     s_count, h, w, c = cfg.slices, cfg.height, cfg.width, cfg.num_classes
@@ -535,21 +536,19 @@ def generate_synthetic_volume(cfg: SynthConfig) -> tuple[Volume, MaskVolume]:
         labels += depth >= bound[:, None, :]
 
     styles = [_BAND_STYLES[k % len(_BAND_STYLES)] for k in range(c)]
-    signal = np.zeros((s_count, h, w))
-    draws = np.empty((s_count, h, w))
+    data = np.zeros((s_count, h, w), np.float32)
+    draws = np.empty((h, w))  # the stream fills a slice at a time in the order one S x H x W draw would
     for k, (period, amplitude, dc, noise, jitter) in enumerate(styles):
-        phase_wobble = _smooth_field(rng, s_count, w, jitter * np.pi)[:, None, :]
-        rng.standard_normal(out=draws)
+        phase_wobble = _smooth_field(rng, s_count, w, jitter * np.pi)
         lo = max(math.floor(tops[k].min()), 0)
         hi = min(math.ceil(floors[k].max()), h)
-        rel_depth = depth[:, lo:hi] - tops[k][:, None, :]  # reflectors hang off the band's own roof
-        tex = dc + amplitude * np.sin(2 * np.pi * rel_depth / period + phase_wobble)
-        tex += noise * draws[:, lo:hi]
-        np.copyto(signal[:, lo:hi], tex, where=labels[:, lo:hi] == k)
+        for i in range(s_count):
+            rng.standard_normal(out=draws)
+            rel_depth = depth[0, lo:hi] - tops[k][i]  # reflectors hang off the band's own roof
+            tex = dc + amplitude * np.sin(2 * np.pi * rel_depth / period + phase_wobble[i])
+            tex += noise * draws[lo:hi]
+            tex *= 30000.0
+            np.copyto(data[i, lo:hi], tex, where=labels[i, lo:hi] == k)
 
-    signal *= 30000.0
-    volume = Volume(
-        data=signal.astype(np.float32),
-        meta={"synthetic": True, "num_classes": c, "seed": cfg.texture_seed},
-    )
+    volume = Volume(data=data, meta={"synthetic": True, "num_classes": c, "seed": cfg.texture_seed})
     return volume, MaskVolume(data=labels, num_classes=c)

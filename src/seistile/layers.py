@@ -23,10 +23,13 @@ divmod(e + pad_top, s), reading g rows R + c - (u - a)/s. Each of the s*s
 output phases is therefore a stride-1 correlation of the zero-padded g
 with the flipped, channel-swapped sub-kernel kernel[a::s, b::s], and the
 phases are interleaved once; no zero-stuffed input is built. im2col is
-materialised in batch chunks of at most _WORKSPACE_BYTES, one chunk alive
-at a time, so peak memory no longer grows with batch x Kh*Kw*C for a
-single GEMM. The engine always returns a fresh array, so the bias is added
-to it in place.
+materialised in batch chunks of at most _WORKSPACE_BYTES, and each chunk of
+the batch is zero-padded on its own just before its columns are copied, so
+a walk holds one padded chunk and one column chunk besides its output:
+peak memory grows neither with batch x Kh*Kw*C for a single GEMM nor with
+a padded copy of the whole input. A phase whose first tap row or column
+lies inside the plane crops g there instead of padding it. The engine
+always returns a fresh array, so the bias is added to it in place.
 
 Batch norm works on the (N*H*W) x C view with few full-size passes. The
 train forward takes the mean, makes one centred copy, reads the variance
@@ -90,22 +93,28 @@ def _pad_nhwc(x: np.ndarray, ph: tuple[int, int], pw: tuple[int, int]) -> np.nda
     return np.pad(x, ((0, 0), ph, pw, (0, 0)))
 
 
-def _correlate(xp: np.ndarray, kh: int, kw: int, stride: int, kmat: np.ndarray,
-               out: np.ndarray | None, g: np.ndarray | None = None) -> np.ndarray | None:
-    """One walk over the im2col chunks of xp feeding up to two GEMMs per chunk.
+def _correlate(x: np.ndarray, pad: tuple[int, int, int, int], kh: int, kw: int, stride: int,
+               kmat: np.ndarray, out: np.ndarray | None, g: np.ndarray | None = None) -> np.ndarray | None:
+    """One walk over the im2col chunks of x zero-padded by pad = (top,
+    bottom, left, right), feeding up to two GEMMs per chunk.
 
     With ``out``, out[n, i, j] = xp[n, i*s : i*s+kh, j*s : j*s+kw].ravel() @ kmat
-    (out is C-contiguous). With ``g``, co-shaped with such an output, returns
-    the (Kh*Kw*C) x B kernel gradient, summed chunk by chunk in a fixed order.
+    for the padded xp (out is C-contiguous). With ``g``, co-shaped with such
+    an output, returns the (Kh*Kw*C) x B kernel gradient, summed chunk by
+    chunk in a fixed order. Only the chunk at hand is padded, so the padded
+    plane never exists for the whole batch.
     """
-    gk = None if g is None else np.zeros((kh * kw * xp.shape[3], g.shape[3]), np.result_type(xp, g))
+    c = x.shape[3]
+    gk = None if g is None else np.zeros((kh * kw * c, g.shape[3]), np.result_type(x, g))
     hout, wout = (g if out is None else out).shape[1:3]
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    win = win[:, :hout, :wout].transpose(0, 1, 2, 4, 5, 3)  # [N, H', W', Kh, Kw, C] view
-    step = max(1, _WORKSPACE_BYTES // max(win[:1].nbytes, 1))
-    for lo in range(0, len(xp), step):
+    step = max(1, _WORKSPACE_BYTES // max(hout * wout * kh * kw * c * x.itemsize, 1))
+    for lo in range(0, len(x), step):
         part = slice(lo, lo + step)
-        cols = win[part].reshape(-1, kh * kw * xp.shape[3])  # the copy that fits the budget
+        xp = _pad_nhwc(x[part], pad[:2], pad[2:])
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        win = win[:, :hout, :wout].transpose(0, 1, 2, 4, 5, 3)  # [n, H', W', Kh, Kw, C] view
+        cols = win.reshape(-1, kh * kw * c)  # the copy that fits the budget
+        del xp, win  # so the next chunk is padded with no other padded chunk alive
         if out is not None:
             np.matmul(cols, kmat, out=out[part].reshape(-1, out.shape[3]))
         if gk is not None:
@@ -121,11 +130,11 @@ def _conv_fine(x: np.ndarray, kernel: np.ndarray, stride: int, forward: bool = T
     if given, else None). Asked for both, one walk feeds both GEMMs."""
     n, h, w, _ = x.shape
     kh, kw, _, cout = kernel.shape
-    xp = _pad_nhwc(x, half_padding(h, kh, stride), half_padding(w, kw, stride))
+    pad = half_padding(h, kh, stride) + half_padding(w, kw, stride)
     y = None
     if forward:
         y = np.empty((n, conv_out_size(h, stride), conv_out_size(w, stride), cout), np.result_type(x, kernel))
-    gk = _correlate(xp, kh, kw, stride, kernel.reshape(-1, cout), y, g)
+    gk = _correlate(x, pad, kh, kw, stride, kernel.reshape(-1, cout), y, g)
     return y, None if gk is None else gk.reshape(kernel.shape)
 
 
@@ -134,15 +143,17 @@ def _conv_adjoint(g: np.ndarray, kernel: np.ndarray, s: int, h: int, w: int) -> 
     n, ho, wo, _ = g.shape
     kh, kw, cin, _ = kernel.shape
     pt, pl = half_padding(h, kh, s)[0], half_padding(w, kw, s)[0]
-    th, tw = conv_out_size(kh, s), conv_out_size(kw, s)  # taps of the largest phase
-    gp = _pad_nhwc(g, (th - 1, (s - 1 + pt) // s), (tw - 1, (s - 1 + pl) // s))
+    pb, pr = (s - 1 + pt) // s, (s - 1 + pl) // s  # every phase reads this far past g's end
     out = np.zeros((s, s, n, ho, wo, cin), np.result_type(g, kernel))
     for e, f in np.ndindex(s, s):
         (c, a), (d, b) = divmod(e + pt, s), divmod(f + pl, s)
         sub = kernel[a::s, b::s][::-1, ::-1].transpose(0, 1, 3, 2)  # flipped, channel-swapped
         ta, tb = sub.shape[:2]
         if ta and tb:  # a phase without taps (k < s) stays zero
-            _correlate(gp[:, c + th - ta :, d + tw - tb :], ta, tb, 1, sub.reshape(-1, cin), out[e, f])
+            # the phase reads g from row c + 1 - ta and column d + 1 - tb: pad above or crop
+            top, left = ta - 1 - c, tb - 1 - d
+            _correlate(g[:, max(-top, 0) :, max(-left, 0) :], (max(top, 0), pb, max(left, 0), pr),
+                       ta, tb, 1, sub.reshape(-1, cin), out[e, f])
     # contiguous even when cropped: a slot holds this array as it is, and reductions read it
     return np.ascontiguousarray(out.transpose(2, 3, 0, 4, 1, 5).reshape(n, ho * s, wo * s, cin)[:, :h, :w])
 

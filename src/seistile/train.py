@@ -251,6 +251,8 @@ def load_checkpoint(path) -> Checkpoint:
             kept = sections[entry["kind"]]
             if kept is not None:
                 kept[entry["name"]] = arr.copy()
+        if len(payload) != end:
+            raise CorruptionError(f"{path}: {len(payload) - end} bytes after the last tensor")
         val = header["val_miou"]
         return Checkpoint(
             topology_text=header["topology"],

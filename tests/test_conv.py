@@ -222,11 +222,17 @@ def conv_grads(rng, op, x, kern):
     return y.data, g, xt.grad, kt.grad
 
 
-# One sample per im2col chunk (n = 3), every phase shape of k in {1, 3, 5} at
-# s = 2 (k=1 leaves phases empty, k=5 mixes 3- and 2-tap phases), odd and even H, W.
-@pytest.mark.parametrize("hw", [(5, 6), (6, 4)])
-@pytest.mark.parametrize("s", [1, 2])
-@pytest.mark.parametrize("k", [1, 3, 5])
+def chunked_cases(planes):
+    """Every k in 1..7 at every s in 1..3 on each plane, and k=4, s=4 on a 6-pixel plane."""
+    cases = [(k, s, hw) for k in range(1, 8) for s in (1, 2, 3) for hw in planes] + [(4, 4, (6, 6))]
+    return pytest.mark.parametrize("k, s, hw", cases, ids=[f"k{k}-s{s}-{h}x{w}" for k, s, (h, w) in cases])
+
+
+# One sample per im2col chunk (n = 3), odd and even H, W: phases without taps (k < s),
+# phases of unequal tap counts, kernels larger than the plane. For the conv's input
+# gradient, k=4, s=4 on a 6-pixel plane is a phase whose first tap row lies inside g
+# (the walk crops g there instead of padding it).
+@chunked_cases([(5, 6), (6, 4)])
 def test_conv_chunked_phases_match_naive(monkeypatch, k, s, hw):
     monkeypatch.setattr(layers, "_WORKSPACE_BYTES", 1)
     rng = np.random.default_rng(10 * k + s)
@@ -242,12 +248,11 @@ def test_conv_chunked_phases_match_naive(monkeypatch, k, s, hw):
         gk, basis_kernel_grad(lambda a, e: naive_conv2d(a, e, None, s), x, kern.shape, 3, g))
 
 
-@pytest.mark.parametrize("s", [1, 2])
-@pytest.mark.parametrize("k", [1, 3, 5])
-def test_tconv_chunked_phases_match_naive(monkeypatch, k, s):
+@chunked_cases([(5, 6), (4, 3)])
+def test_tconv_chunked_phases_match_naive(monkeypatch, k, s, hw):
     monkeypatch.setattr(layers, "_WORKSPACE_BYTES", 1)
     rng = np.random.default_rng(20 * k + s)
-    x = rand_int_tensor(rng, (3, 5, 6, 3))
+    x = rand_int_tensor(rng, (3, *hw, 3))
     kern = rand_int_tensor(rng, (k, k, 2, 3))  # Kh, Kw, Cout, Cin
     y, g, gx, gk = conv_grads(rng, lambda a, b, c: conv2d_transposed(a, b, c, stride=s), x, kern)
 
@@ -257,28 +262,38 @@ def test_tconv_chunked_phases_match_naive(monkeypatch, k, s):
         gk, basis_kernel_grad(lambda a, e: naive_conv2d_transposed(a, e, None, s), x, kern.shape, 2, g))
 
 
-# budgets of one sample's im2col rows (the largest phase's for the transposed
-# conv), so each forward walks its batch in 3 or 4 chunks
-@pytest.mark.parametrize("op, stride, x_shape, k_shape, budget", [
-    (conv2d, 1, (4, 16, 16, 8), (3, 3, 8, 4), 16 * 16 * 9 * 8 * 8),
-    (conv2d_transposed, 2, (3, 8, 8, 16), (3, 3, 4, 16), 8 * 8 * 4 * 16 * 8),
+def input_gradient(x, kern, stride):
+    """The conv2d input-gradient rule alone: g is made before the caller traces."""
+    xt = Tensor(x.data, requires_grad=True)
+    with recording() as tape:
+        y = conv2d(xt, kern, None, stride)
+    g = np.ones(y.shape)
+    return lambda: tape.records[-1].backward_fn(g)[0]
+
+
+# Budgets of one sample's im2col rows (the 2x2-tap phase's for the adjoints), so each
+# walk runs in 6 or 8 chunks. padded_chunk is the largest zero-padded chunk a walk may
+# hold: one 18x18 sample for the conv; for the stride-2 adjoints, whose input is
+# 16x16x16, two samples of a 2x1-tap phase, padded one row (or column) above.
+@pytest.mark.parametrize("walk, x_shape, k_shape, budget, padded_chunk", [
+    ("conv2d", (8, 16, 16, 8), (3, 3, 8, 4), 16 * 16 * 9 * 8 * 8, 18 * 18 * 8 * 8),
+    ("conv2d_transposed", (6, 16, 16, 16), (3, 3, 4, 16), 16 * 16 * 4 * 16 * 8, 2 * 17 * 16 * 16 * 8),
+    ("conv2d input gradient", (6, 32, 32, 4), (3, 3, 4, 16), 16 * 16 * 4 * 16 * 8, 2 * 17 * 16 * 16 * 8),
 ])
-def test_a_walk_holds_one_im2col_chunk_at_a_time(monkeypatch, op, stride, x_shape, k_shape, budget):
+def test_a_walk_holds_one_im2col_chunk_at_a_time(monkeypatch, walk, x_shape, k_shape, budget, padded_chunk):
+    """Besides its output, a walk holds one column chunk and one zero-padded chunk,
+    never a padded copy of its whole input."""
     monkeypatch.setattr(layers, "_WORKSPACE_BYTES", budget)
-    padded, pad = [], layers._pad_nhwc
-
-    def counted_pad(*args):
-        xp = pad(*args)
-        padded.append(xp.nbytes)
-        return xp
-
-    monkeypatch.setattr(layers, "_pad_nhwc", counted_pad)
     rng = np.random.default_rng(8)
     x, kern = Tensor(rng.normal(size=x_shape)), Tensor(rng.normal(size=k_shape))
+    if walk == "conv2d input gradient":
+        run = input_gradient(x, kern, 2)
+    else:
+        run = lambda: (conv2d(x, kern, None, 1) if walk == "conv2d" else conv2d_transposed(x, kern, None, 2)).data
     tracemalloc.start()
     try:
-        y = op(x, kern, None, stride)
+        out_bytes = run().nbytes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < y.data.nbytes + padded[0] + 1.5 * budget
+    assert peak < out_bytes + 1.5 * budget + padded_chunk

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -502,3 +503,46 @@ def test_synthetic_bytes_match_the_whole_volume_reference(shape, seed):
     assert vol.data.dtype == ref_data.dtype and masks.data.dtype == ref_labels.dtype
     assert vol.data.tobytes() == ref_data.tobytes()
     assert masks.data.tobytes() == ref_labels.tobytes()
+
+
+# sha256 of the volume, the masks and the rescaled volume as the generator and the
+# rescale gave them when they worked on whole-volume float64 arrays
+@pytest.mark.parametrize("shape, digests", [
+    (dict(slices=6, height=481, width=1501, num_classes=8, horizon_waviness=5.0, texture_seed=1),  # the survey
+     ("e92562d597f019c5c7d602fe4ad7395cabaf8676509d4fc39592b578810e17ad",
+      "2b75067948c0f83553d9e1fc4715d473599635c2f038ccf22082eade60a720cf",
+      "6b0ac5e26435732039833439ea85be1f3466183c30b1e790a07727d96c7193f6")),
+    (dict(),
+     ("e3d351a5d5b07dbc37f6c6dd659c5e1e980c1a61dffa3bdbf0f669d09dbf99cc",
+      "a2cd4bea6cefb64229b0d37eec417b708b6d2f1e3a094c8788377c103224b424",
+      "1ac718e36eb45c5f77f4267778bbd4ca54b26c73fefd5ff3941b8057a2723921")),
+    (dict(slices=3, height=80, width=64, num_classes=5, horizon_waviness=2.0, texture_seed=7),
+     ("b7425c540bde2c8a63c86de9050ab778737e5d966b2244eafcda9dee0a05020b",
+      "3cdc05378c7ffdb2c6a779ac8a5556e1033471de94982bf822547217c6fb2b7d",
+      "9919ad291e51d2e4490b6452a46df2737500d2bf8032d6f3b72ae0344b562507")),
+])
+def test_synthetic_and_rescaled_bytes_are_pinned(shape, digests):
+    vol, masks = generate_synthetic_volume(SynthConfig(**shape))
+    arrays = (vol.data, masks.data, preprocess_rescale(vol).data)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
+
+
+def test_synthetic_volume_and_rescale_hold_slice_sized_temporaries():
+    """Past the float32 volume, the u8 masks, a bool of the masks' size and the
+    float64 horizon surfaces (tops, floors), the generator holds a few float64
+    slices; the rescale holds its float32 result, the percentile's copy of the
+    volume and a few float64 slices."""
+    cfg = SynthConfig()
+    float_slice, surfaces = cfg.height * cfg.width * 8, 3 * cfg.num_classes * cfg.slices * cfg.width * 8
+    tracemalloc.start()
+    try:
+        vol, masks = generate_synthetic_volume(cfg)
+        generated = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        preprocess_rescale(vol)
+        rescaled = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert generated < vol.data.nbytes + 2 * masks.data.nbytes + surfaces + 8 * float_slice
+    assert rescaled < 2 * vol.data.nbytes + 8 * float_slice

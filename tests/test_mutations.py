@@ -167,6 +167,7 @@ def _ckpt_cases(blob, rng, must_fail, may_pass):
     ends = [0, magic, start, start + header_len]
     ends += [start + header_len + t["offset"] + t["nbytes"] - 1 for t in header["tensors"]]
     must_fail += [blob[:end] for end in ends]
+    must_fail += [blob + bytes(4), blob + blob]  # bytes after the last tensor
     must_fail += [blob[:magic] + struct.pack("<I", 0xFFFFFFFF) + blob[start:]]
     must_fail += [with_header(text) for text in [NESTED] + NOT_OBJECTS]
     for key, value in (("shape", [1 << 31, 1 << 31]), ("nbytes", 1 << 62), ("offset", 1 << 62),

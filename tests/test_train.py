@@ -396,6 +396,15 @@ def test_corrupt_checkpoint_raises_format_error(tmp_path, case, error):
         load_checkpoint(path)
 
 
+def test_checkpoint_with_bytes_after_its_last_tensor_is_corruption(tmp_path):
+    model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=0, dtype=np.float32)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_model(model), path)
+    path.write_bytes(path.read_bytes() + bytes(290))
+    with pytest.raises(CorruptionError, match="290 bytes after the last tensor"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("case", [
     "parameter of the wrong size", "buffer of the wrong size", "missing buffer", "unparsable topology",
     "parameter of the right size but the wrong shape", "extra buffer", "two tensors swapped in order",
