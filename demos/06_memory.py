@@ -1,14 +1,18 @@
-"""Traced memory of one training step and one inference forward.
+"""Traced memory of one training step, one inference forward and one
+checkpoint save, load and restore.
 
 Full-width `danet-fcn2` in float32 on 80x120 tiles, as the README's
 "Memory" paragraph quotes it: one train step on a batch of 8 tiles
-(forward with the tape, loss, backward, RMSProp update) and one inference
-forward of 9 tiles with no tape open. tracemalloc starts after the model,
-the optimizer and the input batches exist, so a peak is what the step
-itself allocates on top of them.
+(forward with the tape, loss, backward, RMSProp update), one inference
+forward of 9 tiles with no tape open, then the model's checkpoint saved,
+loaded, and loaded and restored into a new model. tracemalloc starts after
+the model, the optimizer, the input batches and the in-memory checkpoint
+exist, so a peak is what the step itself allocates on top of them.
 """
 
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -16,7 +20,8 @@ from seistile.layers import softmax_cross_entropy
 from seistile.network import build_model
 from seistile.tensor import Tensor, backward, recording
 from seistile.topology import preset
-from seistile.train import OptimizerConfig, RMSProp
+from seistile.train import (OptimizerConfig, RMSProp, checkpoint_from_model, load_checkpoint,
+                            restore_model, save_checkpoint)
 
 rng = np.random.default_rng(0)
 model = build_model(preset("danet-fcn2"), seed=0, dtype=np.float32)
@@ -50,3 +55,12 @@ def inference_forward():
 print(f"danet-fcn2, full width, float32, 80x120 tiles, {sum(t.size for _, t, _ in model.parameters()):,} parameters")
 print(f"train step, 8 tiles:        {traced_peak_mb(train_step):6.1f} MB traced peak")
 print(f"inference forward, 9 tiles: {traced_peak_mb(inference_forward):6.1f} MB traced peak")
+
+ckpt = checkpoint_from_model(model)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "danet-fcn2.ckpt"
+    print(f"checkpoint save:            {traced_peak_mb(lambda: save_checkpoint(ckpt, path)):6.1f} MB traced peak"
+          f" ({path.stat().st_size / 1e6:.1f} MB file)")
+    print(f"checkpoint load:            {traced_peak_mb(lambda: load_checkpoint(path)):6.1f} MB traced peak")
+    print(f"checkpoint load + restore:  {traced_peak_mb(lambda: restore_model(load_checkpoint(path))):6.1f} MB "
+          "traced peak")

@@ -44,8 +44,8 @@ SEED_SYNTH, SEED_SPLIT, SEED_BUILD, SEED_SHUFFLE = 0, 1, 2, 3
 def _resolved(args) -> tuple[dict, dict]:
     """The run config of the command line, whose digest goes to stderr for
     provenance, and its synth, split, tiles, train, optimizer and model
-    sections built into their settings, so that every command checks all of
-    them first."""
+    sections built into their settings and its clip percentiles checked, so
+    that every command checks all of them first."""
     cfg = load_config(args.config) if getattr(args, "config", None) else resolve_config()
     overrides = list(getattr(args, "set", None) or ())
     if getattr(args, "seed", None) is not None:
@@ -53,6 +53,7 @@ def _resolved(args) -> tuple[dict, dict]:
     cfg = apply_overrides(cfg, overrides)
     if getattr(args, "out_dir", None):
         cfg["data"]["out_dir"] = args.out_dir
+    D.check_clip_percentiles(cfg["data"]["clip_lo_pct"], cfg["data"]["clip_hi_pct"])
     seed, split = cfg["seed"], dict(cfg["split"])
     del split["test_count"]
     split["test_slices"] = split["test_slices"] or ()  # _split_indices fills in a null one
@@ -252,6 +253,8 @@ def cmd_count(args) -> int:
             h, w = (int(v) for v in args.input.lower().split("x"))
         except ValueError:
             raise ConfigError(f"--input must look like 80x120, got {args.input!r}") from None
+        if min(h, w) < 1:
+            raise ConfigError(f"--input sides must be >= 1, got {args.input!r}")
         custom = (h, w)
 
     header = ["name", "parameters", "ops_80x120", "ops_128x128", "ops_per_mac"]

@@ -38,6 +38,7 @@ __all__ = [
     "save_volume",
     "save_masks",
     "write_pgm",
+    "check_clip_percentiles",
     "preprocess_rescale",
     "split_blocks",
     "default_test_slices",
@@ -230,14 +231,21 @@ def write_pgm(path, image: np.ndarray) -> None:
 # ------------------------------------------------------------- preprocessing
 
 
+def check_clip_percentiles(clip_lo_pct: float, clip_hi_pct: float) -> None:
+    """Raise ConfigError naming ``data.clip_lo_pct`` and ``data.clip_hi_pct``
+    unless 0 <= clip_lo_pct < clip_hi_pct <= 100."""
+    if not 0.0 <= clip_lo_pct < clip_hi_pct <= 100.0:
+        raise ConfigError(f"data.clip_lo_pct={clip_lo_pct} and data.clip_hi_pct={clip_hi_pct} "
+                          "must satisfy 0 <= clip_lo_pct < clip_hi_pct <= 100")
+
+
 def preprocess_rescale(volume: Volume, clip_lo_pct: float = 1.0, clip_hi_pct: float = 99.0) -> Volume:
     """Clip to whole-volume percentiles, then map the clip bounds to [0, 255].
 
     A constant volume maps to all zeros (with a warning) since the clip
     range collapses.
     """
-    if not 0.0 <= clip_lo_pct < clip_hi_pct <= 100.0:
-        raise ConfigError(f"bad clip percentiles ({clip_lo_pct}, {clip_hi_pct})")
+    check_clip_percentiles(clip_lo_pct, clip_hi_pct)
     lo, hi = np.percentile(volume.data, [clip_lo_pct, clip_hi_pct])
     out = np.zeros(volume.data.shape, np.float32)
     if hi <= lo:

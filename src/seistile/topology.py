@@ -25,6 +25,7 @@ import re
 from dataclasses import InitVar, dataclass
 
 from .errors import ConfigError, ParseError, TopologyError
+from .layers import conv_out_size
 
 __all__ = [
     "LayerSpec",
@@ -146,14 +147,10 @@ def render_topology(spec: TopologySpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def _out_size(layer: LayerSpec, h: int, w: int) -> tuple[int, int]:
     if layer.transposed:
         return h * layer.stride, w * layer.stride
-    return _ceil_div(h, layer.stride), _ceil_div(w, layer.stride)
+    return conv_out_size(h, layer.stride), conv_out_size(w, layer.stride)
 
 
 def forward_shape(spec: TopologySpec, h: int, w: int) -> tuple[int, int, int]:

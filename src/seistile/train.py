@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -73,8 +75,8 @@ class TrainConfig:
             raise ConfigError("lr schedule epochs must be strictly increasing")
         if not thresholds or thresholds[0] > 0:
             raise ConfigError(f"lr schedule {list(self.lr_schedule)} sets no rate for epoch 0")
-        if not all(lr > 0 for _, lr in self.lr_schedule):  # NaN fails too
-            raise ConfigError("learning rates must be positive")
+        if not all(lr > 0 and math.isfinite(lr) for _, lr in self.lr_schedule):  # NaN fails too
+            raise ConfigError("learning rates must be positive and finite")
         if self.batch_size < 1 or self.max_epochs < 1 or self.eval_every < 1:
             raise ConfigError("batch_size, max_epochs and eval_every must be >= 1")
 
@@ -179,15 +181,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     The file is written through ``atomic_open``, so a failed write leaves the
     previous file as it was."""
     directory = []
-    blobs = []
     offset = 0
     for kind, tensors in (("param", ckpt.params), ("running", ckpt.buffers)):
         for name, arr in tensors.items():
-            blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
             directory.append({"name": name, "kind": kind, "shape": list(arr.shape),
-                              "offset": offset, "nbytes": len(blob)})
-            blobs.append(blob)
-            offset += len(blob)
+                              "offset": offset, "nbytes": 4 * arr.size})
+            offset += 4 * arr.size
     header = json.dumps({
         "topology": ckpt.topology_text,
         "epoch": ckpt.epoch,
@@ -198,8 +197,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for tensors in (ckpt.params, ckpt.buffers):
+            for arr in tensors.values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f4"))  # a float32 array's own buffer: no copy
 
 
 # the JSON type of each header field and of each field of a tensor's directory entry
@@ -218,23 +218,25 @@ def _check_types(doc: dict, types: dict, path, where: str) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint. Files written before checkpoints dropped the
-    optimizer state still load: their ``opt_ms``/``opt_mom`` tensors are
-    bounds-checked like the others and then discarded."""
-    blob = Path(path).read_bytes()
-    if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    start = len(CKPT_MAGIC) + 4
-    if len(blob) < start:
-        raise CorruptionError(f"{path}: file ends before the header length field")
-    (header_len,) = struct.unpack_from("<I", blob, len(CKPT_MAGIC))
-    if len(blob) < start + header_len:
-        raise CorruptionError(f"{path}: header of {header_len} bytes runs past the end of the file")
-    payload = memoryview(blob)[start + header_len :]
+    """Read a checkpoint. The payload is read once and every tensor returned
+    is a view of it. Files written before checkpoints dropped the optimizer
+    state still load: their ``opt_ms``/``opt_mom`` tensors are bounds-checked
+    like the others and then discarded."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(CKPT_MAGIC) + 4)
+        if head[: len(CKPT_MAGIC)] != CKPT_MAGIC:
+            raise FormatError(f"{path}: not a checkpoint file")
+        if len(head) < len(CKPT_MAGIC) + 4:
+            raise CorruptionError(f"{path}: file ends before the header length field")
+        (header_len,) = struct.unpack_from("<I", head, len(CKPT_MAGIC))
+        if os.fstat(fh.fileno()).st_size < len(head) + header_len:  # checked before the header is read
+            raise CorruptionError(f"{path}: header of {header_len} bytes runs past the end of the file")
+        raw_header = fh.read(header_len)
+        payload = memoryview(np.fromfile(fh, np.uint8))  # read once: every tensor below is a view of it
     sections: dict[str, dict[str, np.ndarray] | None] = {
         "param": {}, "running": {}, "opt_ms": None, "opt_mom": None,
     }
-    header = read_json(blob[start : start + header_len], path, "checkpoint header")
+    header = read_json(raw_header, path, "checkpoint header")
     try:
         _check_types(header, _HEADER_TYPES, path, "")
         end = 0  # each tensor starts where the previous one ends
@@ -250,7 +252,7 @@ def load_checkpoint(path) -> Checkpoint:
             arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
             kept = sections[entry["kind"]]
             if kept is not None:
-                kept[entry["name"]] = arr.copy()
+                kept[entry["name"]] = arr
         if len(payload) != end:
             raise CorruptionError(f"{path}: {len(payload) - end} bytes after the last tensor")
         val = header["val_miou"]
@@ -285,10 +287,8 @@ def restore_model(ckpt: Checkpoint) -> Model:
             if got != wanted:
                 raise FormatError(f"checkpoint does not match topology: {kind} {i} is {got or 'missing'}, "
                                   f"the topology needs {wanted or 'nothing'}")
-    for (_, t, _), arr in zip(model.parameters(), ckpt.params.values()):
-        t.data = arr.astype(np.float32)
-    for (_, buf), arr in zip(model.buffers(), ckpt.buffers.values()):
-        buf[...] = arr
+        for (_, slot), arr in zip(slots, tensors.values()):
+            slot[...] = arr
     return model
 
 

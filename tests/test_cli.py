@@ -194,6 +194,19 @@ def test_count_and_prepare_check_the_train_and_optimizer_sections(tmp_path, caps
 CLI_EXITS = {
     "config_without_defaults": (None, [], None, {}, ["config"], 1, "only --defaults"),
     "count_input_not_hxw": (None, [], None, {}, ["count", "--input", "80by120"], 1, "--input must look like 80x120"),
+    "count_input_negative": (None, [], None, {}, ["count", "--preset", "danet-fcn2", "--input=-80x120"], 1,
+                             "--input sides must be >= 1, got '-80x120'"),
+    "count_input_zero": (None, [], None, {}, ["count", "--preset", "danet-fcn2", "--input", "0x0"], 1,
+                         "--input sides must be >= 1, got '0x0'"),
+    "count_input_zero_width": (None, [], None, {}, ["count", "--input", "80x0"], 1,
+                               "--input sides must be >= 1, got '80x0'"),
+    "count_clip_percentiles_reversed": (None, [], None, {}, ["count", "--set", "data.clip_lo_pct=99",
+                                                             "--set", "data.clip_hi_pct=1"], 1,
+                                        "data.clip_lo_pct=99 and data.clip_hi_pct=1 must satisfy"),
+    "count_clip_hi_past_100": (None, [], None, {}, ["count", "--set", "data.clip_hi_pct=150"], 1,
+                               "data.clip_lo_pct=1.0 and data.clip_hi_pct=150 must satisfy"),
+    "count_infinite_learning_rate": (None, [], None, {}, ["count", "--set", "train.lr_schedule=[[0, Infinity]]"],
+                                     1, "learning rates must be positive and finite"),
     "count_set_without_equals": (None, [], None, {}, ["count", "--set", "seed"], 1, "is not of the form key=value"),
     "synth_too_short": (None, [], None, {}, ["synth", "--set", "synth.height=10"], 1, "volume too small"),
     "count_bn_eps_zero": (None, [], None, {}, ["count", "--preset", "danet-fcn2", "--set", "model.bn_eps=0"], 1,
@@ -211,6 +224,11 @@ CLI_EXITS = {
                                "eval.tile_h=0: a tile side must be >= 1"),
     "prepare_eval_tile_the_model_changes": ("synth", [], None, {}, ["prepare", "--set", "eval.tile_w=100"], 1,
                                             "eval.tile_w=100: danet-fcn2-w0.05 turns a 24x100 tile into 24x104"),
+    "prepare_clip_percentiles_reversed": ("synth", [], None, {}, ["prepare", "--set", "data.clip_lo_pct=99",
+                                                                  "--set", "data.clip_hi_pct=1"], 1,
+                                          "data.clip_lo_pct=99 and data.clip_hi_pct=1 must satisfy"),
+    "prepare_clip_hi_past_100": ("synth", [], None, {}, ["prepare", "--set", "data.clip_hi_pct=150"], 1,
+                                 "data.clip_lo_pct=1.0 and data.clip_hi_pct=150 must satisfy"),
     "prepare_shapes_disagree": ("synth", [], lambda t: save_segv(t / "m.segv", load_segv(t / "m.segv")[0][:5],
                                                                  {"num_classes": 8}),
                                 {}, ["prepare"], 2, "(5, 48, 64) disagree"),

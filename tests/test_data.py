@@ -214,9 +214,10 @@ def test_rescale_records_percentiles_as_floats():
     assert json.dumps(out.meta["rescaled"]["clip_hi_pct"]) == "99.0"
 
 
-def test_rescale_rejects_bad_percentiles():
-    with pytest.raises(ConfigError):
-        preprocess_rescale(Volume(data=np.zeros((1, 2, 2), dtype=np.float32)), 99.0, 1.0)
+@pytest.mark.parametrize("lo, hi", [(99.0, 1.0), (1.0, 150.0), (-1.0, 99.0), (50.0, 50.0)])
+def test_rescale_rejects_bad_percentiles(lo, hi):
+    with pytest.raises(ConfigError, match=f"data.clip_lo_pct={lo} and data.clip_hi_pct={hi} must satisfy"):
+        preprocess_rescale(Volume(data=np.zeros((1, 2, 2), dtype=np.float32)), lo, hi)
 
 
 # ---------------------------------------------------------------- splitting

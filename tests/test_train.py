@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from seistile.errors import ConfigError, CorruptionError, DivergenceError, Forma
 from seistile.metrics import evaluate_testset
 from seistile.network import build_model
 from seistile.tensor import Tensor
-from seistile.topology import count_parameters, parse_topology
+from seistile.topology import count_parameters, parse_topology, preset, scale_widths
 from seistile.train import (
     OptimizerConfig,
     RMSProp,
@@ -192,8 +193,9 @@ def test_train_config_validation():
         TrainConfig(lr_schedule=((0, -0.1),))
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(lr_schedule=((0, float("nan")),))
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="learning rates must be positive and finite"):
+            TrainConfig(lr_schedule=((0, 0.1), (5, rate)))
     for entry in ((0,), (0, "0.1"), (0.5, 0.1), (True, 0.1), (0, None), 5):
         with pytest.raises(ConfigError, match="not an \\[epoch, rate\\] pair"):
             TrainConfig(lr_schedule=(entry,))
@@ -218,6 +220,47 @@ def test_checkpoint_round_trip_forward_bitwise(tmp_path):
     restored = restore_model(load_checkpoint(path))
     after = restored.forward(x, train=False).data
     assert np.array_equal(before, after)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_save_writes_from_the_arrays_and_load_reads_the_payload_once(tmp_path):
+    """Save allocates no copy of the tensors and load holds the payload once,
+    so neither peak grows with a second copy of the model."""
+    model = build_model(scale_widths(preset("danet-fcn2"), 0.5), seed=0, dtype=np.float32)
+    model.buffers()[0][1][:] = 0.25
+    ckpt = checkpoint_from_model(model, epoch=1, val_miou=0.5)
+    payload = 4 * (sum(a.size for a in ckpt.params.values()) + sum(a.size for a in ckpt.buffers.values()))
+    assert payload >= 5 << 20
+    path = tmp_path / "m.ckpt"
+    _, save_peak = _traced_peak(lambda: save_checkpoint(ckpt, path))
+    loaded, load_peak = _traced_peak(lambda: load_checkpoint(path))
+    assert save_peak < 1 << 20
+    assert load_peak <= payload + (1 << 20)
+    restored = restore_model(loaded)
+    for name, t, _ in restored.parameters():
+        assert t.data.dtype == np.float32 and np.array_equal(t.data, ckpt.params[name])
+    for name, buf in restored.buffers():
+        assert np.array_equal(buf, ckpt.buffers[name])
+
+
+def test_float64_model_round_trips_as_its_float32_cast(tmp_path):
+    model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=3, dtype=np.float64)
+    model.buffers()[1][1][:] = 1 / 3
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_model(model), path)
+    restored = restore_model(load_checkpoint(path))
+    for (_, saved, _), (_, t, _) in zip(model.parameters(), restored.parameters()):
+        assert t.data.dtype == np.float32
+        assert t.data.tobytes() == saved.data.astype(np.float32).tobytes()
+    for (_, saved), (_, buf) in zip(model.buffers(), restored.buffers()):
+        assert buf.dtype == np.float32 and buf.tobytes() == saved.astype(np.float32).tobytes()
 
 
 def test_checkpoint_param_blob_length(tmp_path):
