@@ -3,7 +3,8 @@ checkpoint save, load and restore.
 
 Full-width `danet-fcn2` in float32 on 80x120 tiles, as the README's
 "Memory" paragraph quotes it: one train step on a batch of 8 tiles
-(forward with the tape, loss, backward, RMSProp update), one inference
+(forward with the tape, loss, backward, RMSProp update), what the tape
+holds once that forward and loss are done, one inference
 forward of 9 tiles with no tape open, then the model's checkpoint saved,
 loaded, and loaded and restored into a new model. tracemalloc starts after
 the model, the optimizer, the input batches and the in-memory checkpoint
@@ -48,12 +49,23 @@ def train_step():
     optimizer.step(0.01)
 
 
+def tape_after_forward_mb() -> float:
+    tracemalloc.start()
+    try:
+        with recording() as tape:  # the tape and the loss are alive when the memory is read
+            loss = softmax_cross_entropy(model.forward(x_train, train=True), labels)
+        return tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def inference_forward():
     model.forward(x_eval, train=False)
 
 
 print(f"danet-fcn2, full width, float32, 80x120 tiles, {sum(t.size for _, t, _ in model.parameters()):,} parameters")
 print(f"train step, 8 tiles:        {traced_peak_mb(train_step):6.1f} MB traced peak")
+print(f"tape after that forward:    {tape_after_forward_mb():6.1f} MB traced")
 print(f"inference forward, 9 tiles: {traced_peak_mb(inference_forward):6.1f} MB traced peak")
 
 ckpt = checkpoint_from_model(model)

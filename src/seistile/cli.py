@@ -247,7 +247,7 @@ def cmd_count(args) -> int:
         specs = [T.preset(name) for name in T.preset_names()]
 
     ops_per_mac = args.ops_per_mac
-    custom = None
+    sizes = [(80, 120), (128, 128)]
     if args.input:
         try:
             h, w = (int(v) for v in args.input.lower().split("x"))
@@ -255,20 +255,15 @@ def cmd_count(args) -> int:
             raise ConfigError(f"--input must look like 80x120, got {args.input!r}") from None
         if min(h, w) < 1:
             raise ConfigError(f"--input sides must be >= 1, got {args.input!r}")
-        custom = (h, w)
+        if (h, w) in sizes:  # a repeated column name would hide one of the two from a CSV reader
+            print(f"--input {h}x{w} is already a column; not repeated", file=sys.stderr)
+        else:
+            sizes.insert(2, (h, w))
 
-    header = ["name", "parameters", "ops_80x120", "ops_128x128", "ops_per_mac"]
-    if custom:
-        header.insert(4, f"ops_{custom[0]}x{custom[1]}")
-    print(",".join(header))
+    print(",".join(["name", "parameters", *(f"ops_{h}x{w}" for h, w in sizes), "ops_per_mac"]))
     for spec in specs:
-        row = [spec.name, str(T.count_parameters(spec)),
-               str(T.count_operations(spec, 80, 120, ops_per_mac)),
-               str(T.count_operations(spec, 128, 128, ops_per_mac))]
-        if custom:
-            row.append(str(T.count_operations(spec, custom[0], custom[1], ops_per_mac)))
-        row.append(str(ops_per_mac))
-        print(",".join(row))
+        ops = [str(T.count_operations(spec, h, w, ops_per_mac)) for h, w in sizes]
+        print(",".join([spec.name, str(T.count_parameters(spec)), *ops, str(ops_per_mac)]))
     return 0
 
 

@@ -40,6 +40,15 @@ y = x*scale + shift. The backward needs only gbeta = sum(g) and
 ggamma = sum(g*xhat): with a = gamma*inv_std, the train-mode input
 gradient is a*(g - xhat*ggamma/m - gbeta/m), built in place in xhat.
 
+A train forward keeps no convolution input that is relu(bn(f)): a plain
+c/tc block's output (the stem's, tc5's) or a residual unit's conv2 input. The
+recorded batch norm gives its output a rebuild, xhat*gamma + beta by the
+forward's own ops, that relu passes on (tensor.keep), so the convolutions
+reading it, a residual unit's conv1 and projection shortcut alike, and
+relu's rule remake the array off xhat in backward. Each of them runs before
+the batch norm's rule turns xhat into the input gradient. A residual
+unit's output, relu of a sum, is still kept by its readers.
+
 With no tape open, an eval forward keeps nothing for a backward rule, so
 bn_relu, the epilogue of every conv block and residual unit, runs eval
 batch norm (_normalize_eval, as batch_norm does), the residual sum and
@@ -53,7 +62,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, DegenerateBatchError, DimensionError, LabelError
-from .tensor import Tensor, active_tape, add, record_op, relu
+from .tensor import Tensor, active_tape, add, keep, record_op, relu
 
 __all__ = [
     "half_padding",
@@ -176,6 +185,7 @@ def _conv(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, transpose
         raise DimensionError(f"{op}: bias shape {bias.shape} != ({cout},)")
 
     h, w = x.shape[1], x.shape[2]
+    x_needs_grad, x_data = x.requires_grad, keep(x)  # the rule holds no x, so a remade array can die
     if transposed:
         y = _conv_adjoint(x.data, kernel.data, stride, h * stride, w * stride)
     else:
@@ -185,14 +195,14 @@ def _conv(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, transpose
     out = Tensor(y)
 
     def backward_fn(g):
-        need_gx, need_gk = x.requires_grad, kernel.requires_grad
+        need_gx, need_gk = x_needs_grad, kernel.requires_grad
         gx = gk = None
         if transposed:
             if need_gx or need_gk:
-                gx, gk = _conv_fine(g, kernel.data, stride, need_gx, x.data if need_gk else None)
+                gx, gk = _conv_fine(g, kernel.data, stride, need_gx, x_data() if need_gk else None)
         else:
             gx = _conv_adjoint(g, kernel.data, stride, h, w) if need_gx else None
-            gk = _conv_fine(x.data, kernel.data, stride, False, g)[1] if need_gk else None
+            gk = _conv_fine(x_data(), kernel.data, stride, False, g)[1] if need_gk else None
         gb = np.einsum("ijkl->l", g) if bias is not None and bias.requires_grad else None
         return (gx, gk, gb) if bias is not None else (gx, gk)
 
@@ -295,7 +305,16 @@ def batch_norm(
             gx = gx.reshape(shape)
         return gx, ggamma if gamma.requires_grad else None, gbeta if beta.requires_grad else None
 
-    return record_op(out, (x, gamma, beta), backward_fn)
+    out = record_op(out, (x, gamma, beta), backward_fn)
+    if train and out.node is not None:  # the ops of the forward, off the xhat this record keeps
+
+        def rebuild():
+            r = saved * gamma.data
+            r += beta.data
+            return r.reshape(shape)
+
+        out.rebuild = rebuild
+    return out
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -12,12 +12,18 @@ from .topology import LayerSpec, TopologySpec, layer_convs, render_topology
 __all__ = ["xavier_init", "Model", "build_model"]
 
 
-def xavier_init(shape, seed_or_rng) -> Tensor:
-    """Uniform Xavier draw for a rank-4 kernel.
+# float64 values drawn per call: a kernel is filled in its own dtype, so no float64 copy of it exists
+_DRAW_CHUNK = 1 << 16
+
+
+def xavier_init(shape, seed_or_rng, dtype=np.float64) -> Tensor:
+    """Uniform Xavier draw for a rank-4 kernel, stored in ``dtype``.
 
     Bound L = sqrt(6 / (fan_in + fan_out)) with fan_in = Kh*Kw*Cin and
     fan_out = Kh*Kw*Cout. Values are drawn in float64 so a given seed yields
-    the same numbers regardless of the model's storage dtype.
+    the same numbers regardless of the model's storage dtype; each chunk of
+    _DRAW_CHUNK is cast into the kernel as it is drawn, and
+    ``Generator.uniform`` continues one stream whatever the chunk sizes.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) != 4:
@@ -25,13 +31,17 @@ def xavier_init(shape, seed_or_rng) -> Tensor:
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
     kh, kw, a, b = shape
     limit = np.sqrt(6.0 / (kh * kw * a + kh * kw * b))
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
+    kernel = np.empty(shape, dtype)
+    flat = kernel.reshape(-1)
+    for lo in range(0, flat.size, _DRAW_CHUNK):
+        part = flat[lo : lo + _DRAW_CHUNK]
+        part[...] = rng.uniform(-limit, limit, size=part.size)
+    return Tensor(kernel, requires_grad=True)
 
 
 def _conv(rng, k, cin, cout, stride, dtype, transposed=False) -> L.Conv2D:
     # transposed kernels store [Kh, Kw, Cout, Cin]
-    kernel = xavier_init((k, k, cout, cin) if transposed else (k, k, cin, cout), rng)
-    kernel.data = kernel.data.astype(dtype)
+    kernel = xavier_init((k, k, cout, cin) if transposed else (k, k, cin, cout), rng, dtype)
     bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
     return L.Conv2D(kernel, bias, stride, transposed)
 

@@ -15,8 +15,16 @@ which no one else holds once its slot has handed it over, and may change
 ``g`` in place. An empty slot takes a returned array without copying it; a
 slot that already holds one adds into it. ``backward`` copies only an array
 a rule returns a second time and an array of another dtype than the slot's,
-so no two slots or leaves ever share a gradient array. ``relu`` keeps no
-mask: its rule reads its own output, which the next op keeps anyway.
+so no two slots or leaves ever share a gradient array.
+
+A rule that reads an input's array holds ``keep(t)``: the array itself, or
+``t.rebuild`` where that remakes it bitwise from what an earlier record
+keeps anyway. A train-mode batch norm's output is remade as
+``xhat*gamma + beta`` off its record's ``xhat`` and ``relu`` passes a remake
+on, so a convolution input that is ``relu(bn(f))`` lives only while the
+forward uses it. Backward runs a reader's rule before the earlier record's,
+so the source is intact whenever it is remade. ``relu`` keeps no mask: its
+rule reads its output, or remakes its input.
 
 Conventions: activations are N x H x W x C, kernels Kh x Kw x Cin x Cout.
 There is no broadcasting.
@@ -38,6 +46,7 @@ __all__ = [
     "add",
     "mul",
     "relu",
+    "keep",
     "matmul",
     "tensor_sum",
     "backward",
@@ -66,13 +75,14 @@ class _Node:
 class Tensor:
     """A dense n-d array that can participate in gradient recording."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "rebuild")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.node: _Node | None = None  # the slot a tape gave this output; None on a leaf
+        self.rebuild = None  # remakes data from what another record keeps (see keep)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -190,13 +200,30 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record_op(out, (a, b), lambda g: (g * b.data, g * a.data))
 
 
+def keep(t: Tensor):
+    """What a backward rule holds to read ``t``'s array: ``t.rebuild``, or a
+    call that returns the array itself."""
+    if t.rebuild is not None:
+        return t.rebuild
+    data = t.data
+    return lambda: data
+
+
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(np.maximum(a.data, 0))
     if active_tape() is None or not a.requires_grad:
         return out  # nothing will record the rule
-    y = out.data  # y > 0 exactly where a > 0: the rule reads the output and the tape keeps no mask
-    return record_op(out, (a,), lambda g: (np.multiply(g, y > 0, out=g),))
+    if a.rebuild is not None:  # a can be remade, so out can: same ops, same array
+        remake_a = a.rebuild
+
+        def rebuild():
+            r = remake_a()
+            return np.maximum(r, 0, out=r)
+
+        out.rebuild = rebuild
+    y = keep(a if a.rebuild is not None else out)  # y > 0 exactly where a > 0: the tape keeps no mask
+    return record_op(out, (a,), lambda g: (np.multiply(g, y() > 0, out=g),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

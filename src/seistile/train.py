@@ -106,8 +106,9 @@ class RMSProp:
         # params: iterable of (name, Tensor, weight_decay_eligible)
         self.cfg = cfg
         self.params = [(name, t, bool(decay)) for name, t, decay in params]
-        self.ms = {name: np.zeros_like(t.data, order="C") for name, t, _ in self.params}
-        self.mom = {name: np.zeros_like(t.data, order="C") for name, t, _ in self.params}
+        # np.zeros takes pages the OS has zeroed (calloc) where zeros_like writes every zero itself
+        self.ms = {name: np.zeros(t.shape, t.dtype) for name, t, _ in self.params}
+        self.mom = {name: np.zeros(t.shape, t.dtype) for name, t, _ in self.params}
         self._rows = {dt: np.empty((2, _STEP_CHUNK), dt) for dt in {t.dtype for _, t, _ in self.params}}
         self.step_count = 0
 

@@ -50,13 +50,21 @@ def test_config_defaults_prints_full_document(capsys):
 
 
 def test_count_preset_csv(capsys):
-    assert main(["count", "--preset", "danet-fcn", "--input", "80x120"]) == 0
+    assert main(["count", "--preset", "danet-fcn", "--input", "64x96"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
-    assert out[0] == "name,parameters,ops_80x120,ops_128x128,ops_80x120,ops_per_mac"
+    assert out[0] == "name,parameters,ops_80x120,ops_128x128,ops_64x96,ops_per_mac"
     row = out[1].split(",")
     assert row[0] == "danet-fcn"
     assert abs(int(row[1]) - 4.46e6) / 4.46e6 < 0.02
     assert row[-1] == "1"  # recorded counting mode
+
+
+@pytest.mark.parametrize("size", ["80x120", "128X128"])
+def test_count_input_that_is_a_fixed_column_is_not_repeated(capsys, size):
+    assert main(["count", "--preset", "danet-fcn2", "--input", size]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert header == "name,parameters,ops_80x120,ops_128x128,ops_per_mac"
+    assert len(row.split(",")) == 5
 
 
 def test_count_all_presets(capsys):
@@ -200,6 +208,8 @@ CLI_EXITS = {
                          "--input sides must be >= 1, got '0x0'"),
     "count_input_zero_width": (None, [], None, {}, ["count", "--input", "80x0"], 1,
                                "--input sides must be >= 1, got '80x0'"),
+    "count_input_already_a_column": (None, [], None, {}, ["count", "--preset", "danet-fcn2", "--input", "80x120"], 0,
+                                     "--input 80x120 is already a column; not repeated"),
     "count_clip_percentiles_reversed": (None, [], None, {}, ["count", "--set", "data.clip_lo_pct=99",
                                                              "--set", "data.clip_hi_pct=1"], 1,
                                         "data.clip_lo_pct=99 and data.clip_hi_pct=1 must satisfy"),

@@ -9,11 +9,12 @@ from seistile.layers import (
     BatchNorm2D,
     batch_norm,
     conv2d,
+    conv2d_transposed,
     softmax_cross_entropy,
 )
-from seistile.network import _residual_unit, build_model
+from seistile.network import _block, _residual_unit, build_model
 from seistile.tensor import Tensor, add, backward, grad_check, mul, recording, relu, tensor_sum
-from seistile.topology import parse_topology, preset, scale_widths
+from seistile.topology import LayerSpec, parse_topology, preset, scale_widths
 
 
 # ---------------------------------------------------------------- batch norm
@@ -249,7 +250,7 @@ def test_recorded_unit_forward_frees_outputs_no_backward_rule_reads(monkeypatch)
 
 
 def test_recorded_forward_keeps_no_bool_mask():
-    # relu's rule reads its output, which the next convolution keeps anyway
+    # relu's rule reads its output, or remakes its input off a batch norm's xhat
     spec = scale_widths(preset("danet-fcn2"), 0.1)
     model = build_model(spec, seed=4, dtype=np.float32)
     x = Tensor(np.random.default_rng(4).normal(size=(2, 16, 24, 1)).astype(np.float32))
@@ -259,6 +260,66 @@ def test_recorded_forward_keeps_no_bool_mask():
     arrays = [v.data if isinstance(v, Tensor) else v for v in kept]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
     assert arrays and all(a.dtype != np.bool_ for a in arrays)
+
+
+def _kept_conv(conv, x):
+    return (conv2d_transposed if conv.transposed else conv2d)(x, conv.kernel, conv.bias, conv.stride)
+
+
+def _kept_bn(bn, f):
+    """Train batch norm whose output cannot be remade, so relu and the next
+    conv keep the arrays the forward made."""
+    y = batch_norm(f, bn.gamma, bn.beta, bn.running_mean.copy(), bn.running_var.copy(), bn.eps, bn.momentum)
+    y.rebuild = None
+    return y
+
+
+def _kept_block(block, x):
+    if not hasattr(block, "conv1"):
+        return relu(_kept_bn(block.bn, _kept_conv(block.conv, x)))
+    f = relu(_kept_bn(block.bn1, _kept_conv(block.conv1, x)))
+    f = _kept_bn(block.bn2, _kept_conv(block.conv2, f))
+    h = x if block.shortcut is None else _kept_conv(block.shortcut, x)
+    return relu(add(h, f))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind, stride, channels", [
+    ("ru", 1, 4), ("ru", 2, 5), ("tru", 1, 4), ("tru", 2, 5), ("conv", 2, 5), ("tconv", 2, 5),
+])
+def test_blocks_match_the_primitives_with_every_array_kept_bitwise(kind, stride, channels, dtype):
+    # the blocks' rules remake each BN-ReLU conv input off its batch norm's xhat;
+    # composed from the primitives with every array kept, the numbers are the same
+    rng = np.random.default_rng(23)
+    stem = _block(rng, LayerSpec("conv", 3, 1, 4), 1, dtype, 1e-5, 0.9)
+    block = _block(rng, LayerSpec(kind, 3, stride, channels), 4, dtype, 1e-5, 0.9)
+    assert kind not in ("ru", "tru") or (block.shortcut is None) == (stride == 1)
+    for _, t, _ in stem.parameters() + block.parameters():
+        if t.data.ndim == 1:  # biases, gamma and beta, so the ReLU masks are not the all-positive ones
+            t.data[...] = rng.normal(size=t.shape)
+    x = Tensor(rng.normal(size=(2, 6, 8, 1)).astype(dtype), requires_grad=True)
+    params = [("x", x)] + [(n, t) for n, t, _ in stem.parameters() + block.parameters()]
+
+    def run(forward):
+        for _, t in params:
+            t.zero_grad()
+        with recording() as tape:
+            y = forward(x)
+            labels = np.random.default_rng(24).integers(0, channels, size=y.shape[:3])
+            loss = softmax_cross_entropy(y, labels)
+        backward(loss, tape)
+        return [loss.data] + [t.grad for _, t in params]
+
+    def blocks(x):
+        f = stem.forward(x, True)
+        assert f.rebuild is not None  # the block's convs remake their input
+        return block.forward(f, True)
+
+    got = run(blocks)
+    want = run(lambda x: _kept_block(block, _kept_block(stem, x)))
+    assert len(got) == len(want) == len(params) + 1
+    for (name, _), a, b in zip([("loss", None)] + params, got, want):
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("transposed", [False, True])

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +193,40 @@ def test_build_model_deterministic_in_seed():
     )
 
 
+# sha256 over each parameter's name and bytes, in checkpoint order, for seed 7; computed
+# when each kernel was still drawn whole in float64 and then cast to the model's dtype
+BUILD_DIGESTS = {
+    ("danet-fcn", 0.1, "float32"): "d4d524dfdef8f42612e445b9bab67a846f6b397ca92524d951b0bb9f348942ae",
+    ("danet-fcn", 0.1, "float64"): "acae42b76d640ec3f43608a61ed43d034d0d4a5cd132d1e0dcbd000e7dcc1612",
+    ("danet-fcn2", 0.1, "float32"): "87c0a122497a682a19f0958bdc9380baee628c8292e78f83e792221eb25c31ae",
+    ("danet-fcn2", 0.1, "float64"): "1df8e445538b7c57ba1dc4a616f9858b8a48c4d5641f05867985bfa4d607b54c",
+    ("danet-fcn3", 0.1, "float32"): "a10ce2bba9113883c0ac0fdf6a00a0f893f96780a16a9eb2019ce753e0c6b36d",
+    ("danet-fcn3", 0.1, "float64"): "498c7fa794bb394059c2645d97e4d2daffc63bc8a36a34001e40e1c0a1a216e3",
+    # width 0.5: a whole float64 draw of the 3x3x320x320 kernel alone would take 7.4 MB
+    ("danet-fcn2", 0.5, "float32"): "7140cb6bc5ac0b4f165d066370160ad4f57efd7f91d129493aab55b16c1c4d51",
+    ("danet-fcn2", 0.5, "float64"): "fb80801624bd2db9c8b556254275f875bbac325980a71f9d814a7fe32cf894cf",
+}
+
+
+@pytest.mark.parametrize("name, width, dtype", BUILD_DIGESTS)
+def test_build_model_parameters_are_pinned_and_built_at_the_model_size(name, width, dtype):
+    spec = scale_widths(preset(name), width)
+    tracemalloc.start()
+    try:
+        model = build_model(spec, seed=7, dtype=dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    digest = hashlib.sha256()
+    for n, t, _ in model.parameters():
+        assert t.dtype == dtype
+        digest.update(n.encode())
+        digest.update(t.data.tobytes())
+    assert digest.hexdigest() == BUILD_DIGESTS[name, width, dtype]
+    size = sum(t.data.nbytes for _, t, _ in model.parameters()) + sum(b.nbytes for _, b in model.buffers())
+    assert peak <= size + (1 << 20)
+
+
 def test_build_model_forward_shape_and_biases_zero():
     spec = parse_topology("c3 s2 6\nru s2 8\ntru s2 6\ntc3 s2 4\nout 7")
     model = build_model(spec, seed=7)
@@ -211,6 +248,15 @@ def test_xavier_bounds_and_determinism():
     wide = xavier_init((5, 5, 1, 64), 0)
     assert np.abs(wide.data).max() <= np.sqrt(6.0 / (25 + 25 * 64))
     assert np.isclose(np.sqrt(6.0 / 1625.0), 0.06076, atol=5e-5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_xavier_chunked_draw_is_the_whole_float64_draw_cast(dtype):
+    shape = (3, 3, 100, 90)  # 81,000 values: two chunks
+    limit = np.sqrt(6.0 / (9 * 100 + 9 * 90))
+    whole = np.random.default_rng(5).uniform(-limit, limit, size=shape).astype(dtype)
+    kernel = xavier_init(shape, 5, dtype).data
+    assert kernel.dtype == dtype and kernel.tobytes() == whole.tobytes()
 
 
 def test_unknown_preset_raises():

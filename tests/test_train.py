@@ -10,8 +10,9 @@ from seistile.data import SynthConfig, TileConfig, generate_synthetic_volume, ti
 from seistile.errors import ConfigError, CorruptionError, DivergenceError, FormatError
 from seistile.metrics import evaluate_testset
 from seistile.network import build_model
-from seistile.tensor import Tensor
-from seistile.topology import count_parameters, parse_topology, preset, scale_widths
+from seistile.layers import conv_out_size, softmax_cross_entropy
+from seistile.tensor import Tensor, recording
+from seistile.topology import count_parameters, layer_convs, parse_topology, preset, scale_widths
 from seistile.train import (
     OptimizerConfig,
     RMSProp,
@@ -228,6 +229,40 @@ def _traced_peak(fn):
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_forward_tape_holds_only_what_the_rules_cannot_remake(dtype):
+    """After a taped train forward the tape holds, per layer: its input
+    unless a batch norm's xhat remakes it (so only after a residual unit,
+    whose output is a residual sum), one xhat per batch-normed conv, and
+    the softmax log_probs and label indices. Each BN-ReLU conv input is
+    remade in backward, so none of them is counted."""
+    spec = scale_widths(preset("danet-fcn2"), 0.5)
+    model = build_model(spec, seed=0, dtype=dtype)
+    n, h, w, item = 2, 80, 120, np.dtype(dtype).itemsize
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(n, h, w, 1)).astype(dtype))
+    labels = rng.integers(0, model.num_classes, size=(n, h, w))
+
+    counted, cin, after_residual = 0, 1, False
+    for layer in spec.layers:
+        if after_residual:
+            counted += n * h * w * cin * item
+        h, w = ((h * layer.stride, w * layer.stride) if layer.transposed
+                else (conv_out_size(h, layer.stride), conv_out_size(w, layer.stride)))
+        counted += sum(n * h * w * cout * item for _, _, cout, _, bn in layer_convs(layer, cin) if bn)
+        cin, after_residual = layer.channels, layer.residual
+    counted += n * h * w * (model.num_classes * item + 8)  # log_probs, int64 label indices
+
+    def forward():
+        with recording() as tape:  # the tape and the loss are alive when the memory is read
+            loss = softmax_cross_entropy(model.forward(x, train=True), labels)
+        return tracemalloc.get_traced_memory()[0]
+
+    tape_bytes, _ = _traced_peak(forward)
+    # the margin covers the records, closures and per-channel statistics (about 80 kB here)
+    assert counted <= tape_bytes <= counted + (256 << 10)
 
 
 def test_checkpoint_save_writes_from_the_arrays_and_load_reads_the_payload_once(tmp_path):
