@@ -9,6 +9,11 @@ forward of 9 tiles with no tape open, then the model's checkpoint saved,
 loaded, and loaded and restored into a new model. tracemalloc starts after
 the model, the optimizer, the input batches and the in-memory checkpoint
 exist, so a peak is what the step itself allocates on top of them.
+
+Load + restore reads about the payload (26.7 MB): the restored model holds
+the loaded arrays. It read 53.7 MB when restore copied the checkpoint into
+a Xavier-initialised model, and 79.6 MB when load also copied each tensor
+out of the whole file.
 """
 
 import tempfile

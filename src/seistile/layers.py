@@ -381,15 +381,15 @@ def check_batch_norm(eps: float, momentum: float, name: str = "batch norm ") -> 
 
 
 class BatchNorm2D:
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.997, dtype=np.float64):
+    def __init__(self, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray,
+                 eps: float = 1e-5, momentum: float = 0.997):
         check_batch_norm(eps, momentum)
-        self.channels = channels
         self.eps = eps
         self.momentum = momentum
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+        self.gamma = gamma
+        self.beta = beta
+        self.running_mean = running_mean
+        self.running_var = running_var
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         return batch_norm(

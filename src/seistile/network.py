@@ -39,19 +39,24 @@ def xavier_init(shape, seed_or_rng, dtype=np.float64) -> Tensor:
     return Tensor(kernel, requires_grad=True)
 
 
-def _conv(rng, k, cin, cout, stride, dtype, transposed=False) -> L.Conv2D:
-    # transposed kernels store [Kh, Kw, Cout, Cin]
-    kernel = xavier_init((k, k, cout, cin) if transposed else (k, k, cin, cout), rng, dtype)
-    bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
-    return L.Conv2D(kernel, bias, stride, transposed)
+def _xavier(rng, dtype):
+    """The array source of a fresh model: Xavier kernels from ``rng``, the walk's ``fill`` for the rest."""
+    return lambda kind, shape, fill: xavier_init(shape, rng, dtype).data if fill is None else fill(shape, dtype)
 
 
-def _block(rng, layer: LayerSpec, cin: int, dtype, bn_eps: float, bn_momentum: float):
-    """The block of one topology layer, its kernels drawn in layer_convs order."""
+def _block(source, layer: LayerSpec, cin: int, bn_eps: float, bn_momentum: float):
+    """The block of one topology layer, its arrays taken from ``source(kind, shape, fill)`` in
+    layer_convs order, which is DNCKPT1's: per conv the kernel (``fill`` None) and bias, then
+    for a batch-normed one gamma, beta and the "running" running_mean and running_var."""
+    def param(shape, fill):
+        return Tensor(source("param", shape, fill), requires_grad=True)
     parts = []
     for k, a, b, s, bn in layer_convs(layer, cin):
-        conv = _conv(rng, k, a, b, s, dtype, layer.transposed)
-        norm = L.BatchNorm2D(b, eps=bn_eps, momentum=bn_momentum, dtype=dtype) if bn else None
+        # transposed kernels store [Kh, Kw, Cout, Cin]
+        conv = L.Conv2D(param((k, k, b, a) if layer.transposed else (k, k, a, b), None),
+                        param((b,), np.zeros), s, layer.transposed)
+        norm = L.BatchNorm2D(param((b,), np.ones), param((b,), np.zeros), source("running", (b,), np.zeros),
+                             source("running", (b,), np.ones), bn_eps, bn_momentum) if bn else None
         parts.append((conv, norm))
     if layer.residual:
         (conv1, bn1), (conv2, bn2), *projection = parts
@@ -63,7 +68,7 @@ def _block(rng, layer: LayerSpec, cin: int, dtype, bn_eps: float, bn_momentum: f
 def _residual_unit(rng, cin, cout, stride, k, dtype, transposed: bool,
                    bn_eps: float = 1e-5, bn_momentum: float = 0.997):
     layer = LayerSpec("tru" if transposed else "ru", k, stride, cout)
-    return _block(rng, layer, cin, dtype, bn_eps, bn_momentum)
+    return _block(_xavier(rng, dtype), layer, cin, bn_eps, bn_momentum)
 
 
 class _ConvBlock(L.Container):
@@ -84,12 +89,16 @@ class _ConvBlock(L.Container):
 
 
 class Model(L.Container):
-    """A sequential stack instantiated from a TopologySpec."""
+    """A sequential stack instantiated from a TopologySpec with the arrays ``source`` hands over (see ``_block``)."""
 
-    def __init__(self, spec: TopologySpec, blocks, dtype):
+    def __init__(self, spec: TopologySpec, source, dtype, bn_eps: float = 1e-5, bn_momentum: float = 0.997):
         self.spec = spec
-        self.blocks = blocks
         self.dtype = dtype
+        self.blocks = []
+        cin = 1  # one amplitude channel
+        for layer in spec.layers:
+            self.blocks.append(_block(source, layer, cin, bn_eps, bn_momentum))
+            cin = layer.channels
 
     @property
     def num_classes(self) -> int:
@@ -120,11 +129,5 @@ def build_model(spec: TopologySpec, seed: int, dtype=np.float64,
     running-statistics decay; the 0.997 default suits long runs, short
     desk-scale runs want a smaller value so inference statistics warm up.
     """
-    rng = np.random.default_rng(seed)
     dtype = np.dtype(dtype)
-    blocks = []
-    cin = 1  # one amplitude channel
-    for layer in spec.layers:
-        blocks.append(_block(rng, layer, cin, dtype, bn_eps, bn_momentum))
-        cin = layer.channels
-    return Model(spec, blocks, dtype)
+    return Model(spec, _xavier(np.random.default_rng(seed), dtype), dtype, bn_eps, bn_momentum)

@@ -19,7 +19,7 @@ import numpy as np
 from .data import TileSet, atomic_open, is_int, read_json
 from .errors import ConfigError, CorruptionError, DivergenceError, FormatError, ParseError, TopologyError
 from .layers import softmax_cross_entropy
-# predict_slice_mask is not called here; the name stays because bench/spans.py patches it in this module
+# predict_slice_mask and build_model are not called here; the names stay because bench/spans.py patches them here
 from .metrics import miou_image, mmiou, predict_slice_mask, predict_slice_masks, score_masks
 from .network import Model, build_model
 from .tensor import Tensor, backward, recording
@@ -220,9 +220,11 @@ def _check_types(doc: dict, types: dict, path, where: str) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint. The payload is read once and every tensor returned
-    is a view of it. Files written before checkpoints dropped the optimizer
-    state still load: their ``opt_ms``/``opt_mom`` tensors are bounds-checked
-    like the others and then discarded."""
+    is a view of it; a NaN or infinite value is refused. Files written
+    before checkpoints dropped the optimizer state still load: their
+    ``opt_ms``/``opt_mom`` tensors are bounds-checked like the others and
+    then discarded, and the kept tensors are returned as copies so the
+    discarded bytes are not held."""
     with open(path, "rb") as fh:
         head = fh.read(len(CKPT_MAGIC) + 4)
         if head[: len(CKPT_MAGIC)] != CKPT_MAGIC:
@@ -240,7 +242,7 @@ def load_checkpoint(path) -> Checkpoint:
     header = read_json(raw_header, path, "checkpoint header")
     try:
         _check_types(header, _HEADER_TYPES, path, "")
-        end = 0  # each tensor starts where the previous one ends
+        end, legacy = 0, False  # each tensor starts where the previous one ends
         for i, entry in enumerate(header["tensors"]):
             _check_types(entry, _TENSOR_TYPES, path, f"tensor {i} ")
             if entry["offset"] != end:
@@ -252,10 +254,18 @@ def load_checkpoint(path) -> Checkpoint:
             end += entry["nbytes"]
             arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
             kept = sections[entry["kind"]]
-            if kept is not None:
-                kept[entry["name"]] = arr
+            if kept is None:
+                legacy = True
+                continue
+            with np.errstate(invalid="ignore"):  # inf + -inf sums to NaN: refused all the same
+                if not np.isfinite(np.sum(arr, dtype=np.float64)):  # finite exactly when every f32 value is
+                    raise CorruptionError(f"{path}: tensor {entry['name']} holds a NaN or infinite value")
+            kept[entry["name"]] = arr
         if len(payload) != end:
             raise CorruptionError(f"{path}: {len(payload) - end} bytes after the last tensor")
+        if legacy:  # copies, so the dropped optimizer state's bytes go with the payload
+            sections = {kind: {name: arr.copy() for name, arr in kept.items()}
+                        for kind, kept in sections.items() if kept is not None}
         val = header["val_miou"]
         return Checkpoint(
             topology_text=header["topology"],
@@ -269,8 +279,9 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def restore_model(ckpt: Checkpoint) -> Model:
-    """Rebuild the model a checkpoint describes; forward passes reproduce
-    the saved model bitwise (checkpoints are f32)."""
+    """Rebuild the model a checkpoint describes; forward passes reproduce the saved model bitwise
+    (checkpoints are f32). The model holds the checkpoint's float32 arrays, not copies, so training
+    it changes them; only an in-memory float64 checkpoint is cast."""
     try:
         spec = parse_topology(ckpt.topology_text, name="restored")
     except (ParseError, TopologyError) as err:  # the text is data read from the file
@@ -278,7 +289,13 @@ def restore_model(ckpt: Checkpoint) -> Model:
     stored = sum(a.size for a in ckpt.params.values())
     if stored != count_parameters(spec):  # checked before building: the text may ask for any size
         raise FormatError(f"checkpoint holds {stored} parameters, its topology needs {count_parameters(spec)}")
-    model = build_model(spec, seed=0, dtype=np.float32)
+    sections = {"param": iter(ckpt.params.values()), "running": iter(ckpt.buffers.values())}
+
+    def source(kind, shape, fill):  # a missing or misshapen tensor is named by the comparison below
+        arr = next(sections[kind], None)
+        return np.zeros(shape, np.float32) if arr is None or arr.shape != shape else arr.astype(np.float32, copy=False)
+
+    model = Model(spec, source, np.dtype(np.float32))
     params = [(name, t.data) for name, t, _ in model.parameters()]
     # DNCKPT1 fixes each section's tensor names, order and shapes: one ordered comparison checks them all
     for kind, tensors, slots in (("parameter", ckpt.params, params), ("buffer", ckpt.buffers, model.buffers())):
@@ -288,8 +305,6 @@ def restore_model(ckpt: Checkpoint) -> Model:
             if got != wanted:
                 raise FormatError(f"checkpoint does not match topology: {kind} {i} is {got or 'missing'}, "
                                   f"the topology needs {wanted or 'nothing'}")
-        for (_, slot), arr in zip(slots, tensors.values()):
-            slot[...] = arr
     return model
 
 

@@ -264,6 +264,9 @@ CLI_EXITS = {
                                "model emits 5 classes but masks have 7"),
     "eval_zero_threads": ("prepare", ["split.test_slices=[9]"], None, {"SEISTILE_THREADS": "0"},
                           ["eval", "--checkpoint", "{tmp}/tiny.ckpt"], 1, "SEISTILE_THREADS must be >= 1"),
+    "eval_nan_checkpoint": ("prepare", ["split.test_slices=[9]"], lambda t: _nan_first_value(t / "tiny.ckpt"), {},
+                            ["eval", "--checkpoint", "{tmp}/tiny.ckpt"], 2,
+                            "tensor layer0.conv.kernel holds a NaN or infinite value"),
     "eval_no_test_slices": ("prepare", ["split.test_count=0"], None, {}, ["eval", "--checkpoint", "{tmp}/tiny.ckpt"],
                             1, "split has no test slices"),
 }
@@ -437,6 +440,13 @@ def _tiny_checkpoint(path, seed=0):
     """A 7-class checkpoint of total stride 2 for eval and export-masks."""
     save_checkpoint(checkpoint_from_model(build_model(parse_topology("c3 s2 4\ntc3 s2 4\nout 7"), seed=seed)), path)
     return path
+
+
+def _nan_first_value(path):
+    """Write a NaN over the first value of the checkpoint's first tensor, layer0.conv.kernel."""
+    blob = path.read_bytes()
+    start = 12 + struct.unpack_from("<I", blob, 8)[0]
+    path.write_bytes(blob[:start] + np.float32(np.nan).tobytes() + blob[start + 4 :])
 
 
 def _prepared_with_tiny_checkpoint(tmp_path):

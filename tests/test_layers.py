@@ -12,15 +12,21 @@ from seistile.layers import (
     conv2d_transposed,
     softmax_cross_entropy,
 )
-from seistile.network import _block, _residual_unit, build_model
+from seistile.network import _block, _residual_unit, _xavier, build_model
 from seistile.tensor import Tensor, add, backward, grad_check, mul, recording, relu, tensor_sum
 from seistile.topology import LayerSpec, parse_topology, preset, scale_widths
 
 
 # ---------------------------------------------------------------- batch norm
 
+def _bn(channels, **kwargs):
+    """A fresh batch norm: gamma and running variance 1, beta and running mean 0."""
+    return BatchNorm2D(Tensor(np.ones(channels), requires_grad=True), Tensor(np.zeros(channels), requires_grad=True),
+                       np.zeros(channels), np.ones(channels), **kwargs)
+
+
 def test_bn_constant_input_maps_to_zero():
-    bn = BatchNorm2D(3)
+    bn = _bn(3)
     x = Tensor(np.full((2, 4, 4, 3), 5.0))
     out = bn.forward(x, train=True)
     np.testing.assert_array_equal(out.data, np.zeros_like(x.data))
@@ -28,7 +34,7 @@ def test_bn_constant_input_maps_to_zero():
 
 def test_bn_two_value_channel_hand_case():
     # values {1,3}: mean 2, biased var 1 -> xhat = +-1/sqrt(1+1e-5); out = 2*xhat + 1
-    bn = BatchNorm2D(1, eps=1e-5)
+    bn = _bn(1, eps=1e-5)
     bn.gamma.data[:] = 2.0
     bn.beta.data[:] = 1.0
     x = Tensor(np.array([1.0, 3.0]).reshape(1, 2, 1, 1))
@@ -37,7 +43,7 @@ def test_bn_two_value_channel_hand_case():
 
 
 def test_bn_running_update():
-    bn = BatchNorm2D(1, momentum=0.997)
+    bn = _bn(1, momentum=0.997)
     x = Tensor(np.array([1.0, 3.0]).reshape(1, 2, 1, 1))  # batch mean 2
     bn.forward(x, train=True)
     np.testing.assert_allclose(bn.running_mean, [0.006], atol=1e-12)
@@ -45,7 +51,7 @@ def test_bn_running_update():
 
 def test_bn_normalizes_before_affine():
     rng = np.random.default_rng(11)
-    bn = BatchNorm2D(4)
+    bn = _bn(4)
     x = Tensor(rng.uniform(-3, 3, size=(2, 6, 5, 4)))
     out = bn.forward(x, train=True).data  # gamma=1, beta=0
     mean = out.mean(axis=(0, 1, 2))
@@ -55,7 +61,7 @@ def test_bn_normalizes_before_affine():
 
 
 def test_bn_infer_mode_uses_running_stats():
-    bn = BatchNorm2D(2)
+    bn = _bn(2)
     bn.running_mean[:] = [1.0, -1.0]
     bn.running_var[:] = [4.0, 1.0]
     x = Tensor(np.array([[[[3.0, 0.0]]]]))
@@ -64,7 +70,7 @@ def test_bn_infer_mode_uses_running_stats():
 
 
 def test_bn_train_rejects_single_element_batch():
-    bn = BatchNorm2D(3)
+    bn = _bn(3)
     with pytest.raises(DegenerateBatchError):
         bn.forward(Tensor(np.zeros((1, 1, 1, 3))), train=True)
 
@@ -291,8 +297,8 @@ def test_blocks_match_the_primitives_with_every_array_kept_bitwise(kind, stride,
     # the blocks' rules remake each BN-ReLU conv input off its batch norm's xhat;
     # composed from the primitives with every array kept, the numbers are the same
     rng = np.random.default_rng(23)
-    stem = _block(rng, LayerSpec("conv", 3, 1, 4), 1, dtype, 1e-5, 0.9)
-    block = _block(rng, LayerSpec(kind, 3, stride, channels), 4, dtype, 1e-5, 0.9)
+    stem = _block(_xavier(rng, dtype), LayerSpec("conv", 3, 1, 4), 1, 1e-5, 0.9)
+    block = _block(_xavier(rng, dtype), LayerSpec(kind, 3, stride, channels), 4, 1e-5, 0.9)
     assert kind not in ("ru", "tru") or (block.shortcut is None) == (stride == 1)
     for _, t, _ in stem.parameters() + block.parameters():
         if t.data.ndim == 1:  # biases, gamma and beta, so the ReLU masks are not the all-positive ones

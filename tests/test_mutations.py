@@ -176,6 +176,8 @@ def _ckpt_cases(blob, rng, must_fail, may_pass):
         must_fail.append(rebuilt(lambda doc: doc["tensors"][0].__setitem__(key, value)))
     for topology in ("c3 s2 4\nru 99999\ntc3 s2 4\nout 7", 5):
         must_fail.append(rebuilt(lambda doc: doc.__setitem__("topology", topology)))
+    payload = start + header_len  # layer0.conv.kernel's first value made NaN or infinite
+    must_fail += [blob[:payload] + np.float32(v).tobytes() + blob[payload + 4 :] for v in (np.nan, np.inf)]
     _, bias, gamma = header["tensors"][:3]  # the bias and gamma of layer0 are both 4 floats
     for offset in (-bias["nbytes"], gamma["offset"]):  # read from the payload's end; share gamma's bytes
         must_fail.append(rebuilt(lambda doc: doc["tensors"][1].__setitem__("offset", offset)))

@@ -285,6 +285,48 @@ def test_checkpoint_save_writes_from_the_arrays_and_load_reads_the_payload_once(
         assert np.array_equal(buf, ckpt.buffers[name])
 
 
+def test_restore_hands_the_model_the_loaded_tensors(tmp_path):
+    """A restored model holds the checkpoint's float32 arrays, so load +
+    restore peaks at the payload, as load alone does."""
+    model = build_model(scale_widths(preset("danet-fcn2"), 0.5), seed=0, dtype=np.float32)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_model(model), path)
+    payload = 4 * (count_parameters(model.spec) + sum(a.size for _, a in model.buffers()))
+    _, peak = _traced_peak(lambda: restore_model(load_checkpoint(path)))
+    assert peak <= payload + (1 << 20)
+    ckpt = load_checkpoint(path)
+    restored = restore_model(ckpt)
+    for name, t, _ in restored.parameters():
+        assert np.shares_memory(t.data, ckpt.params[name])
+    for name, buf in restored.buffers():
+        assert np.shares_memory(buf, ckpt.buffers[name])
+
+
+def test_a_model_restored_from_a_file_trains(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_model(build_model(parse_topology(TINY_DSL), seed=3, dtype=np.float32)), path)
+    model = restore_model(load_checkpoint(path))
+    before = {name: t.data.copy() for name, t, _ in model.parameters()}
+    for _, t, _ in model.parameters():
+        t.grad = np.ones_like(t.data)
+    RMSProp(model.parameters(), OptimizerConfig()).step(0.01)
+    assert all((t.data != before[name]).all() for name, t, _ in model.parameters())
+
+
+@pytest.mark.parametrize("name, values", [
+    ("layer1.conv1.kernel", [np.nan]), ("layer0.conv.bias", [np.inf]), ("layer4.conv.kernel", [-np.inf]),
+    ("layer0.bn.running_var", [np.inf, -np.inf]),  # their sum is NaN
+])
+def test_checkpoint_with_a_non_finite_value_is_corruption(tmp_path, name, values):
+    model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=0, dtype=np.float32)
+    arrays = {n: t.data for n, t, _ in model.parameters()} | dict(model.buffers())
+    arrays[name].flat[: len(values)] = values
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint_from_model(model), path)
+    with pytest.raises(CorruptionError, match=f"tensor {name} holds a NaN or infinite value"):
+        load_checkpoint(path)
+
+
 def test_float64_model_round_trips_as_its_float32_cast(tmp_path):
     model = build_model(parse_topology(TINY_DSL, name="tiny"), seed=3, dtype=np.float64)
     model.buffers()[1][1][:] = 1 / 3
@@ -419,6 +461,21 @@ def test_checkpoint_with_optimizer_sections_still_loads(tmp_path):
     legacy_path.write_bytes(legacy_blob[:8] + struct.pack("<I", len(text)) + text + legacy_blob[12 + hlen :])
     with pytest.raises(FormatError, match="bogus"):
         load_checkpoint(legacy_path)
+
+
+def test_a_model_restored_from_optimizer_sections_holds_only_the_kept_tensors(tmp_path):
+    model = build_model(scale_widths(preset("danet-fcn2"), 0.2), seed=0, dtype=np.float32)
+    path = tmp_path / "legacy.ckpt"
+    save_checkpoint(checkpoint_from_model(model), path)
+    path.write_bytes(_with_optimizer_sections(path.read_bytes()))  # twice the parameters' bytes more
+    kept = 4 * (count_parameters(model.spec) + sum(a.size for _, a in model.buffers()))
+
+    def restore():
+        restored = restore_model(load_checkpoint(path))  # noqa: F841 (the Checkpoint is gone, the model is not)
+        return tracemalloc.get_traced_memory()[0]
+
+    held, _ = _traced_peak(restore)
+    assert held <= kept + (256 << 10)
 
 
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, failing_writes):
