@@ -156,6 +156,7 @@ def cmd_prepare(args) -> int:
         tiles = D.tile_volume(volume, masks, indices, run["tiles"])
         tiles.save(out / name)
         print(f"{name}: {len(tiles)} tiles from slices {indices}")
+        del tiles  # so the val set is cut with no train set alive
     return 0
 
 
@@ -215,7 +216,7 @@ def _restored(args):
     the run's own), checked against the eval tile and the masks' classes."""
     cfg, _ = _resolved(args)
     out, volume, masks, split = _load_prepared(cfg)
-    model = restore_model(load_checkpoint(args.checkpoint or (out / "checkpoint.ckpt")))
+    model = restore_model(load_checkpoint(args.checkpoint or (out / "checkpoint.ckpt")), cfg["model"]["bn_eps"])
     T.check_tile(model.spec, cfg["eval"]["tile_h"], cfg["eval"]["tile_w"], "eval")
     if model.num_classes != masks.num_classes:
         raise ConfigError(f"checkpoint model emits {model.num_classes} classes but masks have {masks.num_classes}")

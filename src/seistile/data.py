@@ -379,8 +379,8 @@ class TileSet:
         prov = [
             {"slice": int(s), "row": int(r), "col": int(c)} for s, r, c in self.provenance
         ]
-        with atomic_open(stem + ".json", "w") as fh:
-            fh.write(json.dumps({"tile_h": self.tile_h, "tile_w": self.tile_w, "tiles": prov}, indent=2))
+        with atomic_open(stem + ".json", "w") as fh:  # streamed: the text is never held whole
+            json.dump({"tile_h": self.tile_h, "tile_w": self.tile_w, "tiles": prov}, fh, indent=2)
 
     @classmethod
     def load(cls, stem) -> "TileSet":
@@ -423,12 +423,16 @@ def tile_count(h: int, w: int, cfg: TileConfig) -> int:
     return math.prod(tile_grid(h, w, cfg))
 
 
-def cut_tiles(stack: np.ndarray, cfg: TileConfig) -> np.ndarray:
-    """All whole tiles of a ``... x H x W`` stack as a new N x tile_h x tile_w
-    array: slice by slice, each slice's tiles in ``tile_origins`` order."""
+def cut_tiles(stack: np.ndarray, cfg: TileConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """All whole tiles of a ``... x H x W`` stack as an N x tile_h x tile_w
+    array: slice by slice, each slice's tiles in ``tile_origins`` order.
+    Written into ``out`` (C-contiguous, cast to its dtype) if given, else
+    into a new array."""
     tile_grid(*stack.shape[-2:], cfg)
     windows = np.lib.stride_tricks.sliding_window_view(stack, (cfg.tile_h, cfg.tile_w), axis=(-2, -1))
-    tiles = windows[..., :: cfg.stride_h, :: cfg.stride_w, :, :].copy()  # a reshape alone may return a view
+    windows = windows[..., :: cfg.stride_h, :: cfg.stride_w, :, :]
+    tiles = np.empty(windows.shape, stack.dtype) if out is None else out.reshape(windows.shape)  # a view
+    tiles[...] = windows
     return tiles.reshape(-1, cfg.tile_h, cfg.tile_w)
 
 
@@ -440,8 +444,13 @@ def tile_volume(volume: Volume, masks: MaskVolume, slice_indices, cfg: TileConfi
     origins = np.array(tile_origins(*volume.data.shape[1:], cfg), dtype=np.int32)
     prov = np.column_stack([np.repeat(np.array(indices, dtype=np.int32), len(origins)),
                             np.tile(origins, (len(indices), 1))])
-    return TileSet(images=cut_tiles(volume.data[indices], cfg).astype(np.float32, copy=False),
-                   masks=cut_tiles(masks.data[indices], cfg).astype(np.uint8, copy=False),
+    shape = (len(indices), len(origins), cfg.tile_h, cfg.tile_w)
+    images, tile_masks = np.empty(shape, np.float32), np.empty(shape, np.uint8)
+    for i, image_tiles, mask_tiles in zip(indices, images, tile_masks):  # no copy of the chosen slices is made
+        cut_tiles(volume.data[i], cfg, image_tiles)
+        cut_tiles(masks.data[i], cfg, mask_tiles)
+    return TileSet(images=images.reshape(-1, cfg.tile_h, cfg.tile_w),
+                   masks=tile_masks.reshape(-1, cfg.tile_h, cfg.tile_w),
                    provenance=prov, tile_h=cfg.tile_h, tile_w=cfg.tile_w)
 
 

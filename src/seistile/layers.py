@@ -23,9 +23,11 @@ divmod(e + pad_top, s), reading g rows R + c - (u - a)/s. Each of the s*s
 output phases is therefore a stride-1 correlation of the zero-padded g
 with the flipped, channel-swapped sub-kernel kernel[a::s, b::s], and the
 phases are interleaved once; no zero-stuffed input is built. im2col is
-materialised in batch chunks of at most _WORKSPACE_BYTES, and each chunk of
-the batch is zero-padded on its own just before its columns are copied, so
-a walk holds one padded chunk and one column chunk besides its output:
+materialised in batch chunks of at most _WORKSPACE_BYTES (one image when an
+image's columns alone exceed it), the one budget of every walk in training
+and in evaluation alike. Each chunk of the batch is zero-padded on its own
+just before its columns are copied, so a walk holds one padded chunk and
+one column chunk besides its output:
 peak memory grows neither with batch x Kh*Kw*C for a single GEMM nor with
 a padded copy of the whole input. A phase whose first tap row or column
 lies inside the plane crops g there instead of padding it. The engine
@@ -79,9 +81,11 @@ __all__ = [
     "ResidualUnit",
 ]
 
-# im2col bytes materialised per GEMM: memory stays flat in the batch size, and
-# the full-width train step times the same with any budget from 8 MB up
-_WORKSPACE_BYTES = 16 << 20
+# im2col bytes materialised per GEMM, the one budget of every walk (forward,
+# adjoint and kernel gradient): memory stays flat in the batch size. 8 MB holds
+# one image of the full-width tc5 block's 8.3 MB columns, where 16 MB held two,
+# and the train step and the inference forward time within noise of 16 MB
+_WORKSPACE_BYTES = 8 << 20
 
 
 def conv_out_size(in_size: int, stride: int) -> int:

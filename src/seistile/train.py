@@ -278,10 +278,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: malformed checkpoint header ({type(err).__name__}: {err})") from None
 
 
-def restore_model(ckpt: Checkpoint) -> Model:
+def restore_model(ckpt: Checkpoint, bn_eps: float = 1e-5) -> Model:
     """Rebuild the model a checkpoint describes; forward passes reproduce the saved model bitwise
-    (checkpoints are f32). The model holds the checkpoint's float32 arrays, not copies, so training
-    it changes them; only an in-memory float64 checkpoint is cast."""
+    (checkpoints are f32) when ``bn_eps`` is the one it was built with, which the checkpoint does not
+    store. The model holds the checkpoint's float32 arrays, not copies, so training it changes them;
+    only an in-memory float64 checkpoint is cast."""
     try:
         spec = parse_topology(ckpt.topology_text, name="restored")
     except (ParseError, TopologyError) as err:  # the text is data read from the file
@@ -295,7 +296,7 @@ def restore_model(ckpt: Checkpoint) -> Model:
         arr = next(sections[kind], None)
         return np.zeros(shape, np.float32) if arr is None or arr.shape != shape else arr.astype(np.float32, copy=False)
 
-    model = Model(spec, source, np.dtype(np.float32))
+    model = Model(spec, source, np.dtype(np.float32), bn_eps)
     params = [(name, t.data) for name, t, _ in model.parameters()]
     # DNCKPT1 fixes each section's tensor names, order and shapes: one ordered comparison checks them all
     for kind, tensors, slots in (("parameter", ckpt.params, params), ("buffer", ckpt.buffers, model.buffers())):

@@ -4,6 +4,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import seistile.train as train_mod
 from seistile import cli, errors
 from seistile.cli import main
 from seistile.data import TileSet, load_masks, load_segv, load_volume, save_segv
+from seistile.metrics import evaluate_testset, export_mask_pgm, predict_slice_mask
 from seistile.network import build_model
 from seistile.topology import parse_topology, preset, scale_widths
 from seistile.train import Checkpoint, checkpoint_from_model, load_checkpoint, save_checkpoint
@@ -140,6 +142,24 @@ def test_full_pipeline_smoke(tmp_path, capsys):
     assert "config sha256=" in err
 
 
+def test_eval_and_export_masks_restore_with_the_configured_bn_eps(tmp_path, monkeypatch):
+    """The CLI scores and exports what the trained model predicts in memory. Restored with
+    the default eps 1e-5 instead of 0.01, this model changes about 2% of the test pixels."""
+    cfg = desk_config(tmp_path, **{"split.test_slices": [9], "split.test_count": None,
+                                   "train.max_epochs": 1, "model.bn_eps": 0.01})
+    trained, real_train = [], cli.train
+    monkeypatch.setattr(cli, "train", lambda model, *a, **k: trained.append(model) or real_train(model, *a, **k))
+    for command in ("synth", "prepare", "train", "eval", "export-masks"):
+        assert main([command, "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    volume, masks = load_volume(out / "volume_proc.segv"), load_masks(out / "masks_merged.segv")
+    # one epoch: the saved checkpoint is the model as training left it
+    report = evaluate_testset(trained[0], volume, masks, [9], 24, 32)
+    assert json.loads((out / "report.json").read_text())["confusion"] == report.confusion.tolist()
+    export_mask_pgm(tmp_path / "want.pgm", predict_slice_mask(trained[0], volume.slice(9), 24, 32))
+    assert (out / "masks" / "pred_0009.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+
+
 def test_prepare_hand_enumerated_split_and_idempotence(tmp_path):
     cfg = desk_config(tmp_path)  # test_count 0: pure 2-block split of 10 slices
     assert main(["synth", "--config", str(cfg)]) == 0
@@ -157,6 +177,27 @@ def test_prepare_hand_enumerated_split_and_idempotence(tmp_path):
     assert main(["prepare", "--config", str(cfg)]) == 0
     after = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
     assert before == after  # byte-identical rerun
+
+
+def test_prepare_holds_one_tile_set_at_a_time(tmp_path):
+    """prepare's traced peak: the rescaled volume, the merged masks and the larger of the
+    two tile sets, each cut slice by slice into place and saved with its sidecar streamed.
+    Holding the train set while the val set is cut would add the val set's 3.4 MB."""
+    cfg = desk_config(tmp_path, **{"synth.height": 96, "synth.width": 144,
+                                   "tiles": {"tile_h": 16, "tile_w": 24, "overlap_fraction": 0.75}})
+    for command in ("synth", "prepare"):  # the first prepare makes the imports and caches it keeps
+        assert main([command, "--config", str(cfg)]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = tmp_path / "out"
+    sets = [TileSet.load(out / name) for name in ("tiles_train", "tiles_val")]
+    assert [len(ts) for ts in sets] == [6 * 21 * 21, 4 * 21 * 21]
+    volume_and_masks = 10 * 96 * 144 * (4 + 1)  # f32 volume, u8 masks
+    assert peak <= volume_and_masks + max(ts.images.nbytes + ts.masks.nbytes for ts in sets) + (1 << 20)
 
 
 def test_cli_set_overrides(tmp_path, capsys):

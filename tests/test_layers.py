@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -427,6 +428,26 @@ def test_untaped_eval_forward_matches_the_taped_one_bitwise(name, dtype):
     assert untaped.tobytes() == taped.tobytes()
     after = [x] + [t.data for _, t, _ in model.parameters()] + [b for _, b in model.buffers()]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(state, after))
+
+
+def test_inference_forward_peak_is_one_block_and_one_column_chunk():
+    """An untaped forward's traced peak is bounded by its largest block's input and two
+    outputs (a transposed conv's phases and their interleaving, or a unit's main path
+    and shortcut), one im2col chunk of at most 8 MiB, and 1 MiB. At width 0.5 no image's
+    columns exceed 8 MiB: the largest are 4.1 MB (3x3 taps x 48 channels x 40x60)."""
+    model = build_model(scale_widths(preset("danet-fcn2"), 0.5), seed=0, dtype=np.float32)
+    x = Tensor(np.random.default_rng(0).normal(size=(6, 80, 120, 1)).astype(np.float32))
+    block_bytes, y = [], x
+    for block in model.blocks:
+        y, seen = block.forward(y, train=False), y
+        block_bytes.append(seen.data.nbytes + 2 * y.data.nbytes)
+    tracemalloc.start()
+    try:
+        model.forward(x, train=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(block_bytes) + (8 << 20) + (1 << 20)
 
 
 def test_eval_batch_norm_relu_and_add_leave_their_inputs_unchanged():
