@@ -13,13 +13,8 @@ starts after the model, the optimizer, the inputs and the in-memory
 checkpoint exist, so a peak is what the step itself allocates on top of
 them.
 
-With a 16 MB im2col budget in place of 8 MB, the step, the 9-tile forward
-and the pooled slice read 103.8, 39.0 and 77-79 MB.
-
 Load + restore reads about the payload (26.7 MB): the restored model holds
-the loaded arrays. It read 53.7 MB when restore copied the checkpoint into
-a Xavier-initialised model, and 79.6 MB when load also copied each tensor
-out of the whole file.
+the loaded arrays.
 """
 
 import tempfile

@@ -352,6 +352,9 @@ def main(argv=None) -> int:
     except (SeistileError, OSError) as err:  # an OSError's text names its path
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, OSError) else err.exit_code
+    except MemoryError as err:  # numpy's names the size it could not allocate
+        print(f"error: out of memory{f': {err}' if str(err) else ''}", file=sys.stderr)
+        return 3
     except KeyboardInterrupt as err:  # one line, not a traceback; 130 is the shell's 128 + SIGINT
         print(f"interrupted: {err}" if str(err) else "interrupted", file=sys.stderr)
         return 130

@@ -13,6 +13,7 @@ import copy
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 from .data import JSON_MAX_DEPTH, json_depth, read_json
@@ -74,6 +75,8 @@ def _check(where: str, default, value) -> None:
             or isinstance(value, float) and not math.isfinite(value)):  # json reads NaN and Infinity
         null = " or null" if where in _NULLABLE else ""
         raise ConfigError(f"{where} must be {name}{null}, got {json.dumps(value, default=repr)}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:  # past any float; a tile stride or a scale is one
+        raise ConfigError(f"{where} must lie within +-{sys.float_info.max:g}, got {len(str(abs(value)))} digits")
     if where in _MINIMUM and value < _MINIMUM[where]:
         raise ConfigError(f"{where} must be >= {_MINIMUM[where]}, got {value}")
 
@@ -122,6 +125,8 @@ def apply_overrides(config: dict, assignments) -> dict:
                 raise RecursionError
         except json.JSONDecodeError:
             value = raw  # bare strings are convenient on the command line
+        except ValueError as err:  # json's int() refuses an integer past 4,300 digits
+            raise ConfigError(f"override {dotted}: {err}") from None
         except RecursionError:
             raise ConfigError(f"override {dotted}: value nested more than {JSON_MAX_DEPTH} levels deep") from None
         *sections, leaf = dotted.split(".")

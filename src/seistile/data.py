@@ -279,7 +279,7 @@ class SplitConfig:
             raise ConfigError(f"slice_limit must be >= 0, got {self.slice_limit}")
         for t in self.test_slices:
             if not is_int(t):
-                raise ConfigError(f"test slice {t!r} is not an integer")
+                raise ConfigError(f"test_slices entry {t!r} is not an integer")
 
 
 def default_test_slices(num_slices: int, count: int = 40) -> tuple[int, ...]:
@@ -483,8 +483,10 @@ class SynthConfig:
     def __post_init__(self):
         if not 2 <= self.num_classes <= 256:  # labels are u8
             raise ConfigError(f"num_classes must lie in [2, 256], got {self.num_classes}")
-        if self.slices < 1 or self.height < 2 * self.num_classes or self.width < 4:
-            raise ConfigError("volume too small for the requested class count")
+        for key, least in (("slices", 1), ("height", 2 * self.num_classes), ("width", 4)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"volume too small for num_classes={self.num_classes}: "
+                                  f"{key}={getattr(self, key)} must be >= {least}")
 
 
 # per-band reflector look: (vertical period, amplitude, dc offset, noise,

@@ -7,7 +7,7 @@ import numpy as np
 from . import layers as L
 from .errors import ContractError
 from .tensor import Tensor, relu  # noqa: F401 (unused here; bench/spans.py patches network.relu)
-from .topology import LayerSpec, TopologySpec, layer_convs, render_topology
+from .topology import LayerSpec, TopologySpec, layer_convs, layer_walk, render_topology
 
 __all__ = ["xavier_init", "Model", "build_model"]
 
@@ -94,11 +94,7 @@ class Model(L.Container):
     def __init__(self, spec: TopologySpec, source, dtype, bn_eps: float = 1e-5, bn_momentum: float = 0.997):
         self.spec = spec
         self.dtype = dtype
-        self.blocks = []
-        cin = 1  # one amplitude channel
-        for layer in spec.layers:
-            self.blocks.append(_block(source, layer, cin, bn_eps, bn_momentum))
-            cin = layer.channels
+        self.blocks = [_block(source, layer, cin, bn_eps, bn_momentum) for layer, cin, _, _ in layer_walk(spec)]
 
     @property
     def num_classes(self) -> int:

@@ -15,8 +15,9 @@ convolution transposed. Downsampling strides must cancel against upsampling
 strides so the network returns to input resolution.
 
 :func:`layer_convs` is the one description of which convolutions a layer
-holds; the parameter and operation counters and ``network.build_model``
-all walk it.
+holds, and :func:`layer_walk` the one loop that threads each layer's input
+channels and output size through a topology; ``forward_shape``, the
+parameter and operation counters and ``network.build_model`` all read them.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "LayerSpec",
     "TopologySpec",
     "layer_convs",
+    "layer_walk",
     "parse_topology",
     "render_topology",
     "forward_shape",
@@ -147,17 +149,18 @@ def render_topology(spec: TopologySpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _out_size(layer: LayerSpec, h: int, w: int) -> tuple[int, int]:
-    if layer.transposed:
-        return h * layer.stride, w * layer.stride
-    return conv_out_size(h, layer.stride), conv_out_size(w, layer.stride)
+def layer_walk(spec: TopologySpec, h: int = 1, w: int = 1):
+    """(layer, cin, h, w) per layer: its input channels and its output size on an h x w input."""
+    for layer, cin in zip(spec.layers, (1, *(prev.channels for prev in spec.layers))):  # 1 amplitude channel in
+        s = layer.stride
+        h, w = (h * s, w * s) if layer.transposed else (conv_out_size(h, s), conv_out_size(w, s))
+        yield layer, cin, h, w
 
 
 def forward_shape(spec: TopologySpec, h: int, w: int) -> tuple[int, int, int]:
     """(H, W, C) produced by running the topology on an H x W input."""
     c = 1
-    for layer in spec.layers:
-        h, w = _out_size(layer, h, w)
+    for layer, _, h, w in layer_walk(spec, h, w):
         c = layer.channels
     return h, w, c
 
@@ -197,10 +200,7 @@ def layer_convs(layer: LayerSpec, cin: int) -> list[tuple[int, int, int, int, bo
 
 
 def _convs(spec: TopologySpec):
-    cin = 1
-    for layer in spec.layers:
-        yield from layer_convs(layer, cin)
-        cin = layer.channels
+    return (conv for layer, cin, _, _ in layer_walk(spec) for conv in layer_convs(layer, cin))
 
 
 def count_parameters(spec: TopologySpec) -> int:
@@ -228,15 +228,12 @@ def count_operations(spec: TopologySpec, input_h: int, input_w: int,
     (the addition and the final ReLU).
     """
     total = 0
-    h, w, cin = input_h, input_w, 1
-    for layer in spec.layers:
-        h, w = _out_size(layer, h, w)
+    for layer, cin, h, w in layer_walk(spec, input_h, input_w):
         for k, a, b, s, bn in layer_convs(layer, cin):
             coarse = h * w // (s * s) if layer.transposed else h * w
             total += ops_per_mac * k * k * a * b * coarse + (3 if bn else 1) * h * w * b
         if layer.residual:
             total += 2 * h * w * layer.channels
-        cin = layer.channels
     return total
 
 

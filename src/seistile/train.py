@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import struct
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,11 +72,11 @@ class TrainConfig:
                 raise ConfigError(f"lr_schedule entry {entry!r} is not an [epoch, rate] pair")
         thresholds = [e for e, _ in self.lr_schedule]
         if thresholds != sorted(set(thresholds)):
-            raise ConfigError("lr schedule epochs must be strictly increasing")
+            raise ConfigError(f"lr_schedule epochs {thresholds} must be strictly increasing")
         if not thresholds or thresholds[0] > 0:
-            raise ConfigError(f"lr schedule {list(self.lr_schedule)} sets no rate for epoch 0")
-        if not all(lr > 0 and math.isfinite(lr) for _, lr in self.lr_schedule):  # NaN fails too
-            raise ConfigError("learning rates must be positive and finite")
+            raise ConfigError(f"lr_schedule {list(self.lr_schedule)} sets no rate for epoch 0")
+        if not all(0 < lr <= sys.float_info.max for _, lr in self.lr_schedule):  # NaN and an int past any float fail too
+            raise ConfigError(f"lr_schedule {list(self.lr_schedule)}: learning rates must be positive and finite")
         if self.batch_size < 1 or self.max_epochs < 1 or self.eval_every < 1:
             raise ConfigError("batch_size, max_epochs and eval_every must be >= 1")
 

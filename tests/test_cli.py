@@ -738,6 +738,26 @@ def test_ctrl_c_in_any_command_exits_130_without_a_traceback(monkeypatch, capsys
     assert capsys.readouterr().err == "interrupted\n"
 
 
+@pytest.mark.parametrize("text, line", [
+    ("Unable to allocate 7.28 PiB for an array with shape (100000, 100000, 100000) and data type float64",
+     "error: out of memory: Unable to allocate 7.28 PiB for an array with shape (100000, 100000, 100000) "
+     "and data type float64"),
+    ("", "error: out of memory")])
+def test_out_of_memory_exits_3_with_one_line(tmp_path, monkeypatch, capsys, text, line):
+    """The generator raises as numpy does when an allocation fails; nothing is allocated."""
+    def exhausted(cfg):
+        raise MemoryError(text)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.D, "generate_synthetic_volume", exhausted)
+    sides = ["--set", "synth.slices=100000", "--set", "synth.height=100000", "--set", "synth.width=100000"]
+    assert main(["synth", *sides]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[1:] == [line]  # after the config digest
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_output_pipe_closed_before_the_first_write_exits_141_silently(unbuffered):
     # the read end is closed first, so the first write fails every time (as `| head` can); a

@@ -24,7 +24,7 @@ import pytest
 
 import seistile
 from seistile.cli import _load_prepared, _read_dsl, main
-from seistile.config import load_config
+from seistile.config import DEFAULTS, load_config
 from seistile.data import (
     MaskVolume,
     TileConfig,
@@ -255,6 +255,42 @@ def test_a_config_value_nested_too_deeply_exits_1(tmp_path, capsys, depth):
         assert main(count + args) == 1
         assert ("is not an [epoch, rate] pair" if read else too_deep) in capsys.readouterr().err
     assert main(count + ["--set", "seed=" + value]) == 1
+
+
+HUGE = "1" + "0" * 400  # an integer past any float
+# every type and edge a --set value can take; the last six are lists an lr schedule may hold
+SET_VALUES = ["0", "-1", "1", "1.0", "0.5", "-0.5", "1e300", "-1e300", "Infinity", "-Infinity", "NaN",
+              HUGE, "-" + HUGE, "9" * 5000, "null", "true", '"x"', "x", '""', "{}", "[]", "[0]", "[[0, 1]]",
+              "[[0, -1]]", "[[1, 0.1], [0, 0.1]]", f"[[0, {HUGE}]]", f"[[{HUGE}, 0.1]]", "[[0, 0.1], [2]]"]
+
+
+def _leaves(node, path=""):
+    for key, value in node.items():
+        where = f"{path}.{key}" if path else key
+        yield from _leaves(value, where) if isinstance(value, dict) else [where]
+
+
+def test_every_config_leaf_set_to_any_value_exits_0_or_1_naming_the_leaf(capsys):
+    """``count --set <leaf>=<value>`` for every leaf of the defaults, with each
+    value above and three seeded draws: an integer, a float of any magnitude
+    and an [epoch, rate] list. Each run exits 0, or 1 with the leaf's name in
+    its message, and raises nothing that would reach the user as a traceback."""
+    rng = np.random.default_rng(8)
+    outcomes, bad = Counter(), []
+    for leaf in _leaves(DEFAULTS):
+        drawn = [str(rng.integers(-10**9, 10**9)), repr(float(rng.normal() * 10.0 ** rng.integers(-300, 300))),
+                 json.dumps([[int(e), float(r)] for e, r in zip(rng.integers(0, 9, 3), rng.uniform(-1, 1, 3))])]
+        for value in SET_VALUES + drawn:
+            try:
+                code = main(["count", "--set", f"{leaf}={value}"])
+            except Exception as err:
+                code = f"{type(err).__name__}: {err}"
+            err = capsys.readouterr().err
+            outcomes[code] += 1
+            if code not in (0, 1) or code == 1 and leaf.rsplit(".", 1)[-1] not in err:
+                bad.append((leaf, value[:40], code, err[-200:]))
+    assert not bad, f"{len(bad)} of {sum(outcomes.values())} runs: {bad[:5]}"
+    assert outcomes[0] and outcomes[1]
 
 
 def test_json_is_parsed_only_by_the_two_json_readers():

@@ -10,6 +10,7 @@ from seistile.tensor import Tensor
 from seistile.topology import (
     LayerSpec,
     TABLE_OPS_PER_MAC,
+    TopologySpec,
     count_operations,
     count_parameters,
     count_running_stats,
@@ -236,6 +237,46 @@ def test_build_model_forward_shape_and_biases_zero():
     for name, t, _ in model.parameters():
         if name.endswith("bias"):
             assert np.array_equal(t.data, np.zeros_like(t.data))
+
+
+def _random_topology(rng, complete: bool):
+    """A parseable topology of 1-6 random layers of every kind (kernels 1-5, 1-5 channels):
+    a fragment, or a complete network whose strides cancel and that ends in a classifier."""
+    def layer(kind, stride):
+        kernel = int(rng.integers(1, 6)) if kind in ("conv", "tconv") else 1 if kind == "classifier" else 3
+        return LayerSpec(kind, kernel, stride, int(rng.integers(1, 6)))
+
+    layers = [layer(kind, 1 if kind == "classifier" else int(rng.integers(1, 3)))
+              for kind in rng.choice(["conv", "tconv", "ru", "tru", "classifier"], rng.integers(1, 7))]
+    down = sum(x.stride == 2 and not x.transposed for x in layers)
+    up = sum(x.stride == 2 and x.transposed for x in layers)
+    if complete:
+        layers += [layer(kind, 2) for kind in rng.choice(["tconv", "tru"], max(down - up, 0))]
+        layers += [layer(kind, 2) for kind in rng.choice(["conv", "ru"], max(up - down, 0))]
+        layers = [layers[i] for i in rng.permutation(len(layers))] + [layer("classifier", 1)]
+    elif layers[-1].kind == "classifier":
+        layers.append(layer("conv", 1))
+    return parse_topology(render_topology(TopologySpec("random", tuple(layers))))
+
+
+def test_random_topologies_walk_to_the_built_models_shape_and_sizes():
+    """forward_shape is the shape an untaped forward returns on an odd-sided
+    input, and the counters are the built model's parameter and buffer sizes."""
+    rng = np.random.default_rng(29)
+    kinds, bad = set(), []
+    for i in range(40):
+        spec = _random_topology(rng, complete=i % 2 == 0)
+        kinds.update(layer.kind for layer in spec.layers)
+        h, w = 2 * int(rng.integers(0, 6)) + 1, int(rng.integers(1, 12))
+        model = build_model(spec, seed=i)
+        shape = model.forward(Tensor(rng.normal(size=(2, h, w, 1))), train=False).shape
+        params = sum(t.data.size for _, t, _ in model.parameters())
+        stats = sum(a.size for _, a in model.buffers())
+        if (shape, params, stats) != ((2, *forward_shape(spec, h, w)), count_parameters(spec),
+                                      count_running_stats(spec)):
+            bad.append((render_topology(spec), h, w, shape, params, stats))
+    assert not bad, bad[:3]
+    assert kinds == {"conv", "tconv", "ru", "tru", "classifier"}
 
 
 def test_xavier_bounds_and_determinism():

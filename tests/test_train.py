@@ -10,9 +10,9 @@ from seistile.data import SynthConfig, TileConfig, generate_synthetic_volume, ti
 from seistile.errors import ConfigError, CorruptionError, DivergenceError, FormatError
 from seistile.metrics import evaluate_testset
 from seistile.network import build_model
-from seistile.layers import conv_out_size, softmax_cross_entropy
+from seistile.layers import softmax_cross_entropy
 from seistile.tensor import Tensor, recording
-from seistile.topology import count_parameters, layer_convs, parse_topology, preset, scale_widths
+from seistile.topology import count_parameters, layer_convs, layer_walk, parse_topology, preset, scale_widths
 from seistile.train import (
     OptimizerConfig,
     RMSProp,
@@ -245,14 +245,11 @@ def test_train_forward_tape_holds_only_what_the_rules_cannot_remake(dtype):
     x = Tensor(rng.normal(size=(n, h, w, 1)).astype(dtype))
     labels = rng.integers(0, model.num_classes, size=(n, h, w))
 
-    counted, cin, after_residual = 0, 1, False
-    for layer in spec.layers:
-        if after_residual:
-            counted += n * h * w * cin * item
-        h, w = ((h * layer.stride, w * layer.stride) if layer.transposed
-                else (conv_out_size(h, layer.stride), conv_out_size(w, layer.stride)))
+    counted = 0
+    for layer, cin, h, w in layer_walk(spec, h, w):
         counted += sum(n * h * w * cout * item for _, _, cout, _, bn in layer_convs(layer, cin) if bn)
-        cin, after_residual = layer.channels, layer.residual
+        if layer.residual:  # its output, a residual sum, is the next layer's input
+            counted += n * h * w * layer.channels * item
     counted += n * h * w * (model.num_classes * item + 8)  # log_probs, int64 label indices
 
     def forward():
